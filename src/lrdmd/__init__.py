@@ -33,6 +33,9 @@ from .solver import (
     compute_Z,
     error_report,
     first_order_residual,
+    fit_optimal,
+    fit_projected,
+    fit_truncated,
     optimal_error_closed_form,
     optimal_lowrank,
     projected_dmd_baseline,

@@ -28,21 +28,15 @@ from .rb import (
     simulate_linear_fields,
 )
 from .reduced import SpectralModel
-from .solver import (
-    SnapshotPair,
-    error_report,
-    optimal_error_closed_form,
-    optimal_lowrank,
-    projected_dmd_baseline,
-    truncated_baseline,
-)
+from .solver import SnapshotPair, error_report, fit_optimal, fit_projected, fit_truncated, optimal_lowrank
 
 RNG_NAME = "numpy-pcg64/standard_normal"
 
+#: Method name -> function fitting that method once for every k.
 SOLVERS = {
-    "optimal": optimal_lowrank,
-    "truncated": truncated_baseline,
-    "projected": projected_dmd_baseline,
+    "optimal": fit_optimal,
+    "truncated": fit_truncated,
+    "projected": fit_projected,
 }
 
 
@@ -318,10 +312,10 @@ def error_sweep(
 ) -> ErrorCurve:
     """Normalised error ``||Y - A_k X||_F / ||Y||_F`` over k for each method.
 
-    Per-cell solver failures are recorded in the flags column and leave NaN
-    in the error table instead of aborting the sweep.  For the optimal
-    method the closed-form error and its gap to the direct residual are
-    reported as well.
+    Each method is fitted once and every k is read off that fit.  A method
+    whose fit fails has its cells flagged and left NaN instead of aborting
+    the sweep.  For the optimal method the closed-form error and its gap to
+    the direct residual are reported as well.
     """
     ks = np.array(sorted(int(k) for k in k_range), dtype=int)
     if ks.size == 0 or ks[0] < 1 or ks[-1] > data.m:
@@ -334,19 +328,20 @@ def error_sweep(
     flags: dict[str, list[str]] = {m: [""] * ks.size for m in methods}
     closed = np.full(ks.size, np.nan) if "optimal" in methods else None
     gap = np.full(ks.size, np.nan) if "optimal" in methods else None
-    for j, k in enumerate(ks):
-        for name in methods:
-            try:
-                op = SOLVERS[name](data, int(k), rank_tol)
-                if name == "optimal":
-                    cf_sq = optimal_error_closed_form(data, int(k), rank_tol)
-                    rep = error_report(op, data, closed_form_sq=cf_sq)
-                    closed[j] = rep.closed_form_error / norm_y if norm_y > 0 else 0.0
-                    gap[j] = rep.closed_form_gap
-                else:
-                    rep = error_report(op, data)
-                errors[name][j] = rep.normalized
-                flags[name][j] = ",".join(op.flags)
-            except LrdmdError as exc:
-                flags[name][j] = f"error:{type(exc).__name__}"
+    for name in methods:
+        try:
+            fit = SOLVERS[name](data, rank_tol)
+        except LrdmdError as exc:
+            flags[name] = [f"error:{type(exc).__name__}"] * ks.size
+            continue
+        for j, k in enumerate(ks):
+            op = fit.operator(int(k))
+            if name == "optimal":
+                rep = error_report(op, data, closed_form_sq=fit.error_sq(int(k)))
+                closed[j] = rep.closed_form_error / norm_y if norm_y > 0 else 0.0
+                gap[j] = rep.closed_form_gap
+            else:
+                rep = error_report(op, data)
+            errors[name][j] = rep.normalized
+            flags[name][j] = ",".join(op.flags)
     return ErrorCurve(ks=ks, errors=errors, closed_form=closed, closed_form_gap=gap, flags=flags)

@@ -38,13 +38,7 @@ from .reduced import (
     simulate_reduced,
     simulate_spectral,
 )
-from .solver import (
-    FactoredOperator,
-    error_report,
-    first_order_residual,
-    optimal_error_closed_form,
-    optimal_lowrank,
-)
+from .solver import FactoredOperator, error_report, first_order_residual, fit_optimal
 from .svgplot import error_chart
 
 EXIT_OK = 0
@@ -148,8 +142,9 @@ def cmd_fit(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     prov = _provenance(manifest, args.method, args.k, args.rank_tol)
-    op = SOLVERS[args.method](data, args.k, args.rank_tol)
-    cf_sq = optimal_error_closed_form(data, args.k, args.rank_tol) if args.method == "optimal" else None
+    fit = SOLVERS[args.method](data, args.rank_tol)
+    op = fit.operator(args.k)
+    cf_sq = fit.error_sq(args.k) if args.method == "optimal" else None
     rep = error_report(op, data, closed_form_sq=cf_sq)
     lio.save_factored(out / "model-factored.json", op, prov)
     _say(
@@ -253,7 +248,8 @@ def cmd_simulate(args) -> int:
     else:
         traj = simulate_spectral(obj, theta, args.steps)
     lio.write_matrix_csv(args.out, traj.states)
-    _say(args, f"wrote {args.steps} x {obj.n} trajectory ({kind} model) to {args.out}")
+    residue = "" if traj.max_imag_residue is None else f" max_imag_residue={traj.max_imag_residue:.3e}"
+    _say(args, f"wrote {args.steps} x {obj.n} trajectory ({kind} model) to {args.out}{residue}")
     return EXIT_OK
 
 
@@ -262,24 +258,14 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _tail_energy_sq(data, k: int, rank_tol: float) -> float:
-    """Tail energy of the projected data matrix beyond the first k directions."""
-    from .solver import compute_Z
-
-    Z = compute_Z(data, rank_tol)
-    s = thin_svd(Z).S if np.any(Z) else np.zeros(1)
-    return float(np.sum(s[k:] ** 2))
-
-
 def cmd_verify(args) -> int:
     data, _manifest = lio.read_dataset(args.dataset)
     k = args.k
-    if not (1 <= k <= data.m):
-        raise InvalidInput(f"k must lie in [1, {data.m}]")
     checks: list[tuple[str, bool, str]] = []
 
-    op = optimal_lowrank(data, k, args.rank_tol)
-    cf_sq = optimal_error_closed_form(data, k, args.rank_tol)
+    fit = fit_optimal(data, args.rank_tol)
+    op = fit.operator(k)
+    cf_sq = fit.error_sq(k)
     direct = op.residual_fro(data)
     gap = abs(direct**2 - cf_sq)
     tol = 1e-7 * max(1.0, cf_sq)
@@ -293,8 +279,7 @@ def cmd_verify(args) -> int:
     bound = min(k, rank_x, rank_y)
     checks.append(("rank-bound", op.r <= bound, f"effective_rank={op.r} bound={bound}"))
 
-    row_term = float(np.sqrt(max(cf_sq - _tail_energy_sq(data, k, args.rank_tol), 0.0)))
-    checks.append(("row-space-leakage", True, f"||Y(I-P_rows(X))||_F={row_term:.6e}"))
+    checks.append(("row-space-leakage", True, f"||Y(I-P_rows(X))||_F={np.sqrt(fit.leak_sq):.6e}"))
 
     a_norm = op.fro_norm()
     try:

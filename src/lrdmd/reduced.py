@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import audit
-from .errors import DiagonalisabilityWarning, InvalidInput, InvalidOperator, PairingFailure
+from .errors import DiagonalisabilityWarning, InvalidInput, InvalidOperator, PairingFailure, SimulationBlowup
 from .linalg import eig_nonsymmetric
 from .solver import FactoredOperator
 
@@ -97,10 +97,19 @@ class SpectralModel:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States stacked row-wise: ``states[t-1]`` is the state at time t."""
+    """Finite states stacked row-wise: ``states[t-1]`` is the state at time t."""
 
     states: np.ndarray
     max_imag_residue: float | None = None
+
+    def __post_init__(self):
+        # One pass of row sums: an inf or nan makes its row's sum non-finite.
+        # A sum can also overflow on finite entries, so candidates are confirmed.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = self.states.sum(axis=1)
+        for t in np.flatnonzero(~np.isfinite(sums)):
+            if not np.all(np.isfinite(self.states[t])):
+                raise SimulationBlowup(int(t))
 
     @property
     def T(self) -> int:

@@ -1,12 +1,14 @@
 """Rank-constrained least-squares solvers for snapshot data.
 
 Given snapshot matrices X, Y (columns are consecutive state pairs), the
-problem is ``min ||Y - A X||_F  s.t.  rank(A) <= k``.  This module provides
+problem is ``min ||Y - A X||_F  s.t.  rank(A) <= k``.  Each method is fitted
+once (``fit_optimal``, ``fit_truncated``, ``fit_projected``) and every k is
+then read off the fit as a column prefix:
 
-* the exact closed-form minimiser (orthogonal projection of the
-  unconstrained solution ``Y X^+`` onto the span of the leading left
-  singular vectors of ``Z = Y P_rowspace(X)``), together with its
-  closed-form squared error,
+* the exact closed-form minimiser from two thin SVDs: with
+  ``X = U_x S_x V_x^T`` of numerical rank r and ``C = Y V_r = U s W^T``,
+  ``P_k = U[:, :k]``, ``Q_k = U_r S_r^{-1} W[:, :k] diag(s[:k])`` and
+  squared error ``sum(s[k:]^2) + ||Y - C V_r^T||_F^2``,
 * the two sub-optimal baselines it is benchmarked against: SVD truncation
   of the unconstrained solution, and projected DMD (companion-matrix
   assumption),
@@ -27,6 +29,7 @@ from .errors import InvalidInput, InvalidRank
 from .linalg import (
     DEFAULT_RANK_TOL,
     ThinSVD,
+    _recip_singular,
     numerical_rank,
     row_space_projector,
     thin_svd,
@@ -152,41 +155,6 @@ class ErrorReport:
     closed_form_gap: float | None = None
 
 
-def _fix_column_signs(P: np.ndarray) -> np.ndarray:
-    P = P.copy()
-    for j in range(P.shape[1]):
-        i = int(np.argmax(np.abs(P[:, j])))
-        if P[i, j] < 0:
-            P[:, j] = -P[:, j]
-    return P
-
-
-def _apply_pinv_right(W: np.ndarray, svd_x: ThinSVD, rank_tol: float) -> np.ndarray:
-    # W @ X^+ without materialising X^+ when avoidable: W V_x diag(1/s) U_x^T.
-    r = numerical_rank(svd_x, rank_tol)
-    if r == 0:
-        return np.zeros((W.shape[0], svd_x.left.shape[0]))
-    Vr = svd_x.right[:, :r]
-    inv = 1.0 / svd_x.S[:r]
-    return audit.mm(audit.scale(audit.mm(W, Vr), inv), svd_x.left[:, :r].T)
-
-
-def unconstrained_solution(data: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> FactoredOperator:
-    """Least-squares solution ``Y X^+`` in factored form P = U_Y, Q^T = S_Y V_Y^T X^+."""
-    svd_y = thin_svd(data.Y) if np.any(data.Y) else None
-    svd_x = thin_svd(data.X) if np.any(data.X) else None
-    if svd_x is None:
-        # Zero X: the minimum-norm least-squares solution is the zero operator.
-        P = svd_y.left if svd_y is not None else np.zeros((data.n, 1))
-        return FactoredOperator(P=P, Q=np.zeros_like(P), flags=("degenerate_x",))
-    if svd_y is None:
-        P = np.zeros((data.n, 1))
-        return FactoredOperator(P=P, Q=np.zeros_like(P))
-    W = svd_y.S[:, None] * svd_y.right.T  # S_Y V_Y^T, shape q x m
-    Qt = _apply_pinv_right(W, svd_x, rank_tol)
-    return FactoredOperator(P=svd_y.left, Q=Qt.T)
-
-
 def compute_Z(data: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """``Z = Y @ (row-space projector of X)``; same shape as Y."""
     if not np.any(data.X):
@@ -200,106 +168,140 @@ def _check_k(k: int, m: int) -> None:
         raise InvalidRank(f"k must satisfy 1 <= k <= m={m}, got {k}")
 
 
-def optimal_lowrank(data: SnapshotPair, k: int, rank_tol: float = DEFAULT_RANK_TOL) -> FactoredOperator:
-    """Closed-form minimiser of ``||Y - A X||_F`` over rank(A) <= k.
+def _prefix(basis: np.ndarray, mix: np.ndarray | None, keep: int) -> np.ndarray:
+    """First ``keep`` columns of ``basis @ mix`` (of ``basis`` when mix is None) as a new array."""
+    return basis[:, :keep].copy() if mix is None else audit.mm(basis, mix[:, :keep])
 
-    The leading left singular subspace of Z is obtained from the m-by-m
-    eigenproblem ``Z^T Z`` (so the cost stays O(m^2 (m + n))), the basis is
-    re-orthonormalised by a thin QR, and ``Q = (P^T Y X^+)^T`` is stored
-    explicitly.  If the numerical rank of Z is below k the operator comes
-    back with fewer columns and a "rank_deficient" flag instead of noise
-    directions.
+
+@dataclass(frozen=True)
+class LowRankFit:
+    """One method fitted to one snapshot pair, answering every rank k at once.
+
+    The rank-k operator is the first ``min(k, rank)`` columns of
+    ``P = p_basis @ p_mix`` and ``Q = q_basis @ q_mix`` (no mix: identity),
+    built per k so that it owns them alone; a slice view would pin the whole
+    n-by-rank factor.  ``s``, ``leak_sq``: the optimal method's closed form.
     """
-    _check_k(k, data.m)
-    Z = compute_Z(data, rank_tol)
-    G = audit.mm(Z.T, Z)
-    evals, evecs = np.linalg.eigh(G)
-    evecs = evecs[:, ::-1]
-    # Rank decisions use the actual column norms ||Z v_i|| rather than
-    # sqrt(eigenvalue): the Gram route floors singular values at sqrt(eps),
-    # which would let noise directions through at k beyond rank(Z).
-    cand = audit.mm(Z, evecs[:, :k])
-    sigma = np.linalg.norm(cand, axis=0)
-    if sigma.size == 0 or np.max(sigma) <= 0.0:
-        P = np.zeros((data.n, 0))
-        return FactoredOperator(P=P, Q=np.zeros_like(P), flags=("rank_deficient",))
-    mask = sigma > rank_tol * float(np.max(sigma))
-    flags: tuple[str, ...] = () if int(np.count_nonzero(mask)) == k else ("rank_deficient",)
-    cand = cand[:, mask] / sigma[mask]
-    P_hat, _ = np.linalg.qr(cand)
-    P_hat = _fix_column_signs(P_hat)
-    svd_x = thin_svd(data.X)
-    Qt = _apply_pinv_right(audit.mm(P_hat.T, data.Y), svd_x, rank_tol)
-    return FactoredOperator(P=P_hat, Q=Qt.T, flags=flags)
 
-
-def optimal_error_closed_form(data: SnapshotPair, k: int, rank_tol: float = DEFAULT_RANK_TOL) -> float:
-    """Closed-form SQUARED optimal error ``sum_{i>k} s_{Z,i}^2 + ||Y (I - P_rows(X))||_F^2``.
-
-    The second term is the energy of Y's rows outside the row space of X;
-    when X has full rank it vanishes and the whole expression reduces to the
-    tail energy of Y's singular values.
-    """
-    _check_k(k, data.m)
-    Z = compute_Z(data, rank_tol)
-    s_z = thin_svd(Z).S if np.any(Z) else np.zeros(min(data.n, data.m))
-    tail = float(np.sum(s_z[k:] ** 2))
-    residual = data.Y - Z  # Y (I - P) since Z = Y P
-    return tail + float(np.sum(residual**2))
-
-
-def truncated_baseline(data: SnapshotPair, k: int, rank_tol: float = DEFAULT_RANK_TOL) -> FactoredOperator:
-    """k-term SVD truncation of the unconstrained solution ``Y X^+``.
-
-    Computed without forming the n-by-n product: with ``Y X^+ = U_Y W`` and
-    the thin SVD of the small matrix W, the truncated factors are read off
-    directly.
-    """
-    _check_k(k, data.m)
-    if not (np.any(data.X) and np.any(data.Y)):
-        P = np.zeros((data.n, 0))
-        return FactoredOperator(P=P, Q=np.zeros_like(P), flags=("degenerate_x",))
-    svd_y = thin_svd(data.Y)
-    svd_x = thin_svd(data.X)
-    W = _apply_pinv_right(svd_y.S[:, None] * svd_y.right.T, svd_x, rank_tol)  # q x n
-    if not np.any(W):
-        P = np.zeros((data.n, 0))
-        return FactoredOperator(P=P, Q=np.zeros_like(P), flags=("rank_deficient",))
-    svd_w = thin_svd(W)
+    m: int
+    rank: int
+    p_basis: np.ndarray
+    p_mix: np.ndarray | None
+    q_basis: np.ndarray
+    q_mix: np.ndarray | None
     flags: tuple[str, ...] = ()
-    keep = min(k, numerical_rank(svd_w, rank_tol))
-    if keep < k:
-        flags = ("rank_deficient",)
-    P = audit.mm(svd_y.left, svd_w.left[:, :keep])
-    Q = svd_w.right[:, :keep] * svd_w.S[:keep]
-    return FactoredOperator(P=P, Q=Q, flags=flags)
+    s: np.ndarray | None = None
+    leak_sq: float | None = None
+
+    def operator(self, k: int) -> FactoredOperator:
+        """Rank-k operator; fewer columns and "rank_deficient" when k exceeds ``rank``."""
+        _check_k(k, self.m)
+        keep = min(k, self.rank)
+        flags = self.flags or (("rank_deficient",) if keep < k else ())
+        P = _prefix(self.p_basis, self.p_mix, keep)
+        return FactoredOperator(P=P, Q=_prefix(self.q_basis, self.q_mix, keep), flags=flags)
+
+    def error_sq(self, k: int) -> float:
+        """Closed-form squared error ``sum(s[k:]^2) + leak_sq`` (optimal fits only)."""
+        _check_k(k, self.m)
+        return float(np.sum(self.s[k:] ** 2)) + self.leak_sq
 
 
-def projected_dmd_baseline(data: SnapshotPair, k: int, rank_tol: float = DEFAULT_RANK_TOL) -> FactoredOperator:
-    """Projected-DMD approximation: P = U_X, Q^T = (k-truncated SVD of U_X^T Y V_X) S_X^+ U_X^T.
+def fit_optimal(data: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> LowRankFit:
+    """The optimum for every k from the thin SVDs of X and ``C = Y V_r``, in O(m^2 (m + n)).
+
+    Formulas in the module docstring; the fit's rank is the numerical rank of C.
+    """
+    svd_x = thin_svd(data.X)
+    r = numerical_rank(svd_x, rank_tol)
+    Vr = svd_x.right[:, :r]
+    C = audit.mm(data.Y, Vr)
+    svd_c = thin_svd(C) if r else ThinSVD(U=C, S=np.zeros(0), V=np.zeros((0, 0)))
+    # Y's energy outside the row space of X, from the residual: ||Y||^2 - ||C||^2 cancels.
+    leak = audit.mm(C, Vr.T)
+    np.subtract(data.Y, leak, out=leak)
+    Q_mix = svd_c.right * svd_c.S / svd_x.S[:r, None]
+    return LowRankFit(
+        data.m, numerical_rank(svd_c, rank_tol), svd_c.left, None, svd_x.left[:, :r], Q_mix,
+        s=svd_c.S, leak_sq=float(np.vdot(leak, leak)),
+    )
+
+
+def fit_truncated(data: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> LowRankFit:
+    """SVD truncations of ``Y X^+ = U_Y W`` for every k: ``P_k = U_Y U_W[:, :k]``, ``Q_k = V_W[:, :k] diag(s_W[:k])``."""
+    if not (np.any(data.X) and np.any(data.Y)):
+        empty = np.zeros((data.n, 0))
+        return LowRankFit(data.m, 0, empty, None, empty, None, flags=("degenerate_x",))
+    svd_y, svd_x = thin_svd(data.Y), thin_svd(data.X)
+    r = numerical_rank(svd_x, rank_tol)
+    # W = S_Y V_Y^T X^+ = (S_Y V_Y^T V_r) S_r^{-1} U_r^T, never forming X^+.
+    W = audit.scale(audit.mm(svd_y.S[:, None] * svd_y.right.T, svd_x.right[:, :r]), 1.0 / svd_x.S[:r])
+    svd_w = thin_svd(audit.mm(W, svd_x.left[:, :r].T))
+    return LowRankFit(data.m, numerical_rank(svd_w, rank_tol), svd_y.left, svd_w.left, svd_w.right * svd_w.S, None)
+
+
+@dataclass(frozen=True)
+class ProjectedFit:
+    """Projected DMD for every k: ``P = U_X`` whole and ``Q_k = U_X S_X^+ B_k^T``, B_k from the SVD of B."""
+
+    m: int
+    Ux: np.ndarray
+    inv_sx: np.ndarray  # S_X^+
+    svd_b: ThinSVD
+    flags: tuple[str, ...] = ()
+
+    def operator(self, k: int) -> FactoredOperator:
+        _check_k(k, self.m)
+        b, keep = self.svd_b, min(k, self.svd_b.S.size)
+        B_trunc = (b.left[:, :keep] * b.S[:keep]) @ b.right[:, :keep].T
+        return FactoredOperator(P=self.Ux, Q=audit.mm(self.Ux, self.inv_sx[:, None] * B_trunc.T), flags=self.flags)
+
+
+def fit_projected(data: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> ProjectedFit:
+    """Fit projected DMD once: thin SVDs of X and of ``B = U_X^T Y V_X``.
 
     Exact when the data admits a companion matrix (columns of A X inside the
     span of X).  Rank-deficient X falls outside the method's assumption; the
-    pseudo-inverse of S_X is used there and the operator is flagged.
+    pseudo-inverse of S_X is used there and the operators are flagged.
     """
-    _check_k(k, data.m)
     if not np.any(data.X):
-        P = np.zeros((data.n, 0))
-        return FactoredOperator(P=P, Q=np.zeros_like(P), flags=("degenerate_x", "rank_deficient_x"))
+        no_b = ThinSVD(U=np.zeros((0, 0)), S=np.zeros(0), V=np.zeros((0, 0)))
+        return ProjectedFit(data.m, np.zeros((data.n, 0)), np.zeros(0), no_b, ("degenerate_x", "rank_deficient_x"))
     svd_x = thin_svd(data.X)
-    flags: tuple[str, ...] = ()
-    if numerical_rank(svd_x, rank_tol) < min(data.n, data.m):
-        flags = ("rank_deficient_x",)
-    Ux = svd_x.left
-    B = audit.mm(audit.mm(Ux.T, data.Y), svd_x.right)
-    svd_b = thin_svd(B)
-    keep = min(k, svd_b.S.size)
-    B_trunc = (svd_b.left[:, :keep] * svd_b.S[:keep]) @ svd_b.right[:, :keep].T
-    inv = np.zeros_like(svd_x.S)
-    r_x = numerical_rank(svd_x, rank_tol)
-    inv[:r_x] = 1.0 / svd_x.S[:r_x]
-    Q = audit.mm(Ux, inv[:, None] * B_trunc.T)
-    return FactoredOperator(P=Ux, Q=Q, flags=flags)
+    flags = ("rank_deficient_x",) if numerical_rank(svd_x, rank_tol) < min(data.n, data.m) else ()
+    B = audit.mm(audit.mm(svd_x.left.T, data.Y), svd_x.right)
+    return ProjectedFit(data.m, svd_x.left, _recip_singular(svd_x, rank_tol), thin_svd(B), flags)
+
+
+def unconstrained_solution(data: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> FactoredOperator:
+    """Least-squares solution ``Y X^+``: the truncation baseline at k = m."""
+    return fit_truncated(data, rank_tol).operator(data.m)
+
+
+def optimal_lowrank(data: SnapshotPair, k: int, rank_tol: float = DEFAULT_RANK_TOL) -> FactoredOperator:
+    """Closed-form minimiser of ``||Y - A X||_F`` over rank(A) <= k.
+
+    ``A = U_k U_k^T Y X^+``, U_k the leading left singular vectors of the
+    n-by-r ``C = Y V_r = U diag(s) W^T`` (those of ``Z = Y V_r V_r^T``):
+    ``P = U[:, :k]``, ``Q = U_r S_r^{-1} W[:, :k] diag(s[:k])``.  Past the
+    numerical rank of C the operator has fewer columns and "rank_deficient".
+    """
+    return fit_optimal(data, rank_tol).operator(k)
+
+
+def optimal_error_closed_form(data: SnapshotPair, k: int, rank_tol: float = DEFAULT_RANK_TOL) -> float:
+    """Closed-form SQUARED optimal error ``sum_{i>k} s_i^2 + ||Y (I - P_rows(X))||_F^2`` (see ``fit_optimal``)."""
+    return fit_optimal(data, rank_tol).error_sq(k)
+
+
+def truncated_baseline(data: SnapshotPair, k: int, rank_tol: float = DEFAULT_RANK_TOL) -> FactoredOperator:
+    """k-term SVD truncation of the unconstrained solution ``Y X^+`` (see ``fit_truncated``)."""
+    return fit_truncated(data, rank_tol).operator(k)
+
+
+def projected_dmd_baseline(data: SnapshotPair, k: int, rank_tol: float = DEFAULT_RANK_TOL) -> FactoredOperator:
+    """Projected-DMD approximation at rank k (see ``fit_projected``)."""
+    return fit_projected(data, rank_tol).operator(k)
 
 
 def first_order_residual(op: FactoredOperator, data: SnapshotPair) -> float:

@@ -148,7 +148,7 @@ class TestCli:
         assert (out / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
         assert (out / "sweep.svg").read_bytes() == (out2 / "sweep.svg").read_bytes()
 
-    def test_simulate_reduced_vs_spectral_agree(self, toy_ds, tmp_path):
+    def test_simulate_reduced_vs_spectral_agree(self, toy_ds, tmp_path, capsys):
         fit = tmp_path / "fit"
         assert main(["fit", str(toy_ds), "--method", "optimal", "--k", "4", "--out", str(fit), "--quiet"]) == 0
         tr = tmp_path / "tr.csv"
@@ -175,6 +175,11 @@ class TestCli:
         assert a.shape == (11, 50)
         scale = max(np.abs(a[1:]).max(), 1e-300)
         assert np.max(np.abs(a[1:] - b[1:])) <= 1e-8 * scale
+        # the spectral summary line reports the imaginary residue of the conjugate-pair sums
+        assert main(["simulate", str(fit / "model-spectral.json"), "--dataset", str(toy_ds),
+                     "--column", "0", "--steps", "11", "--out", str(ts)]) == 0
+        residue = float(capsys.readouterr().out.split("max_imag_residue=")[1].split()[0])
+        assert 0.0 <= residue <= 1e-8
 
     def test_simulate_T1_returns_theta(self, toy_ds, tmp_path):
         fit = tmp_path / "fit"
@@ -223,6 +228,40 @@ class TestCli:
         out = capsys.readouterr().out
         line = [ln for ln in out.splitlines() if "row-space-leakage" in ln][0]
         assert float(line.split("=")[-1].rstrip(")")) <= 1e-9
+
+    def test_verify_k_beyond_rank_x_exit0(self, tmp_path, capsys):
+        # rank(X) = 12, singular values down to 1e-7, Y = G X: verify at k = 20
+        # must not let noise directions past rank(X) fail its own rank bound
+        rng = np.random.default_rng(0)
+        U, _ = np.linalg.qr(rng.standard_normal((200, 12)))
+        V, _ = np.linalg.qr(rng.standard_normal((30, 12)))
+        X = (U * np.logspace(0, -7, 12)) @ V.T
+        data = lrdmd.SnapshotPair(X=X, Y=rng.standard_normal((200, 200)) @ X)
+        lio.write_dataset(tmp_path / "ds", data, {"schema_version": 1, "generator": "rank-12"})
+        assert main(["verify", str(tmp_path / "ds"), "--k", "20"]) == 0
+        assert "rank-bound: ok (effective_rank=12 bound=12)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["factored", "reduced", "spectral"])
+    def test_simulate_blowup_exit3(self, kind, tmp_path, capsys):
+        # A = 1e200 e_1 e_1^T overflows at the third state for every model kind
+        n = 5
+        e1 = np.eye(n)[:, :1]
+        op = lrdmd.FactoredOperator(P=e1, Q=1e200 * e1)
+        path = tmp_path / f"{kind}.json"
+        if kind == "factored":
+            lio.save_factored(path, op, {})
+        elif kind == "reduced":
+            lio.save_reduced(path, lrdmd.build_svd_reduced_model(op), {})
+        else:
+            lio.save_spectral(path, lrdmd.build_spectral_model(op), {})
+        theta = tmp_path / "theta.csv"
+        lio.write_matrix_csv(theta, e1.T)
+        out = tmp_path / "traj.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["simulate", str(path), "--theta-file", str(theta), "--steps", "5", "--out", str(out)])
+        assert rc == 3
+        assert "non-finite state at step 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verify_corrupted_model_exit5(self, toy_ds, tmp_path, capsys):
         fit = tmp_path / "fit"

@@ -152,6 +152,16 @@ class TestOptimal:
         op = optimal_lowrank(data, 7)
         assert "rank_deficient" in op.flags
         assert op.r == 3
+        # rank(X) = 12 with singular values down to 1e-7 and Y = G X: at
+        # k = 20 no noise direction beyond rank(X) may come back unflagged.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            U, _ = np.linalg.qr(rng.standard_normal((200, 12)))
+            V, _ = np.linalg.qr(rng.standard_normal((30, 12)))
+            X = (U * np.logspace(0, -7, 12)) @ V.T
+            op = optimal_lowrank(SnapshotPair(X=X, Y=rng.standard_normal((200, 200)) @ X), 20)
+            assert "rank_deficient" in op.flags
+            assert op.r <= 12
 
     def test_never_materialises_nxn(self):
         from lrdmd import audit
