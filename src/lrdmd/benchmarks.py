@@ -11,7 +11,7 @@ ziggurat normals) recorded in dataset manifests.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -148,6 +148,7 @@ def gen_physical(setting: str, seed: int, cfg: RBConfig | None = None) -> Snapsh
     (and kappa_b in the nonlinear setting), and the last two are fine
     perturbations of the amplitudes.  The linear settings pin the buoyancy to
     the Taylor-vortex degeneracy (a_b = 2*pi, kappa_b = 1/(sigma (pi a_b)^2)).
+    The N trajectories of a setting are stepped together in one simulator call.
     """
     if cfg is None:
         cfg = physical_config(setting)
@@ -155,16 +156,16 @@ def gen_physical(setting: str, seed: int, cfg: RBConfig | None = None) -> Snapsh
     rng = _rng(seed)
     sp = _Spectral(cfg.grid)
     S1, S2 = sp.mesh_cell()
-    trajectories = []
+    linear = setting in ("iv", "v")
+    buoyancy = InitCondition(a_b=TWO_PI, kappa_b=degenerate_kappa_b(cfg.sigma, TWO_PI))
+    b0s, tau0s = [], []
     for _ in range(N):
         u = rng.random(HYPERCUBE_DIM)
         a_tau = TWO_PI * (1 + min(int(3 * u[0]), 2))
-        if setting in ("iv", "v"):
-            a_b = TWO_PI
-            ic = InitCondition(
-                a_b=a_b,
+        if linear:
+            ic = replace(
+                buoyancy,
                 a_tau=a_tau,
-                kappa_b=degenerate_kappa_b(cfg.sigma, a_b),
                 kappa_tau1=0.1 * u[1] + 0.01 * (u[8] - 0.5),
                 kappa_tau2=0.1 * u[2] + 0.01 * (u[9] - 0.5),
             )
@@ -177,7 +178,6 @@ def gen_physical(setting: str, seed: int, cfg: RBConfig | None = None) -> Snapsh
             # directions instead.
             tau0 = tau0 + 5e-8 * (0.5 + u[8]) * np.sin(np.pi * S2)
             tau0 = tau0 + 5e-8 * (0.5 + u[9]) * np.sin(3 * np.pi * S2)
-            states = simulate_linear_fields(cfg, ic, tau0, T)
         else:
             ic = InitCondition(
                 a_b=a_tau,  # a_b = a_tau in the nonlinear setting
@@ -188,9 +188,13 @@ def gen_physical(setting: str, seed: int, cfg: RBConfig | None = None) -> Snapsh
             )
             b0, tau0 = _lorenz_fields(ic, S1, S2)
             tau0 = tau0 + _extra_tau(sp, 0.25 * u[4:8], 4)
-            states = simulate_fields(cfg, b0, tau0, T)
-        trajectories.append(states)
-    return SnapshotPair.from_trajectories(trajectories)
+            b0s.append(b0)
+        tau0s.append(tau0)
+    if linear:
+        states = simulate_linear_fields(cfg, buoyancy, np.stack(tau0s), T)
+    else:
+        states = simulate_fields(cfg, np.stack(b0s), np.stack(tau0s), T)
+    return SnapshotPair.from_trajectories(list(states.swapaxes(0, 1)))
 
 
 # ---------------------------------------------------------------------------

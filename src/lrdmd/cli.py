@@ -274,7 +274,7 @@ def cmd_verify(args) -> int:
     res1 = first_order_residual(op, data)
     checks.append(("first-order-residual", res1 <= 1e-8, f"residual={res1:.3e} tol=1e-08"))
 
-    rank_x = numerical_rank(thin_svd(data.X), args.rank_tol) if np.any(data.X) else 0
+    rank_x = fit.q_basis.shape[1]  # the optimal fit's q_basis is U_r, X's left singular vectors
     rank_y = numerical_rank(thin_svd(data.Y), args.rank_tol) if np.any(data.Y) else 0
     bound = min(k, rank_x, rank_y)
     checks.append(("rank-bound", op.r <= bound, f"effective_rank={op.r} bound={bound}"))

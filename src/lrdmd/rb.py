@@ -16,8 +16,21 @@ advection products are formed pointwise and 2/3-dealiased.  Time stepping is
 plain explicit RK4; the default dt=1e-4 keeps |Lap|_max * dt inside the RK4
 stability interval for the default grid with sigma, nu of order one.
 
+Fields are real, so each is held as its half spectrum: ``np.fft.rfft2`` over
+the last two axes of the extended grid gives n1 x (n2 + 1) coefficients, all
+s1 frequencies and the non-negative s2 ones.  First-derivative wavenumbers
+are zero at the two Nyquist frequencies, where a real field has no
+derivative.  Leading axes are a batch of trajectories stepped together, so
+one right-hand side costs one ``irfft2`` of the stacked derivative fields
+and one ``rfft2`` of the stacked advection products for the whole batch.  In
+the linear (Taylor-vortex) regime the buoyancy is analytic and shared by
+every trajectory: its velocity and forcing are formed once and scaled by
+exp(-rate t) at each RK4 stage.
+
 State layout: x = (b; tau), each field raveled row-major over (i1, i2), so
-n = 2 * n1 * n2 (1024 for the default 16 x 32 grid).
+n = 2 * n1 * n2 (1024 for the default 16 x 32 grid).  The simulators return
+(n_samples, n) for one trajectory and time-major (n_samples, N, n) for a
+stack of N.
 """
 
 from __future__ import annotations
@@ -89,36 +102,40 @@ def degenerate_kappa_b(sigma: float, a_b: float) -> float:
 
 
 class _Spectral:
-    """Precomputed wavenumber grids and masks for one (n1, n2) cell grid."""
+    """Half-spectrum wavenumber grids and operator products for one (n1, n2) cell grid."""
 
     def __init__(self, grid: tuple[int, int]):
         n1, n2 = grid
         if n1 < 4 or n2 < 4:
             raise InvalidInput(f"grid too small: {grid}")
         self.n1, self.n2 = n1, n2
-        n2d = 2 * n2  # doubled (odd-extended) s2 direction
-        f1 = np.fft.fftfreq(n1) * n1  # integer cycle counts
-        f2 = np.fft.fftfreq(n2d) * n2d
+        self.shape = (n1, 2 * n2)  # odd-extended grid
+        f1 = (np.fft.fftfreq(n1) * n1)[:, None]  # integer cycle counts
+        f2 = (np.fft.rfftfreq(2 * n2) * (2 * n2))[None, :]
         k1 = TWO_PI * f1  # cell length 1 in s1
         k2 = np.pi * f2  # cell length 2 in s2
-        self.K1 = k1[:, None] * np.ones((1, n2d))
-        self.K2 = np.ones((n1, 1)) * k2[None, :]
-        self.lap = -(self.K1**2 + self.K2**2)
-        inv = np.zeros_like(self.lap)
-        nz = self.lap != 0.0
-        inv[nz] = 1.0 / self.lap[nz]
-        self.inv_lap = inv
-        self.dealias = (np.abs(f1)[:, None] < n1 / 3.0) & (np.abs(f2)[None, :] < n2d / 3.0)
+        self.lap = -(k1**2 + k2**2)
+        inv_lap = np.divide(1.0, self.lap, out=np.zeros_like(self.lap), where=self.lap != 0.0)
+        self.d1 = 1j * np.where(f1 == -n1 / 2, 0.0, k1) * np.ones_like(k2)
+        d2 = 1j * np.where(f2 == n2, 0.0, k2) * np.ones_like(k1)
+        # Applied to b: v1 = d_s2 Lap^-1 b, v2 = -d_s1 Lap^-1 b, d_s1 b, d_s2 b.
+        self.velocity_grad = np.stack([d2 * inv_lap, -self.d1 * inv_lap, self.d1, d2])[:, None]
+        self.grad = self.velocity_grad[2:]
+        self.forcing = self.d1 * inv_lap  # d_s1 Lap^-1
+        self.dealias = (np.abs(f1) < n1 / 3.0) & (f2 < 2 * n2 / 3.0)
+
+    def to_grid(self, F: np.ndarray) -> np.ndarray:
+        return np.fft.irfft2(F, s=self.shape)
 
     def extend_odd(self, f: np.ndarray) -> np.ndarray:
         n2 = self.n2
-        ext = np.zeros((self.n1, 2 * n2))
-        ext[:, :n2] = f
-        ext[:, n2 + 1 :] = -f[:, :0:-1]
+        ext = np.zeros(f.shape[:-1] + (2 * n2,))
+        ext[..., :n2] = f
+        ext[..., n2 + 1 :] = -f[..., :0:-1]
         return ext
 
     def restrict(self, fe: np.ndarray) -> np.ndarray:
-        return fe[:, : self.n2].copy()
+        return fe[..., : self.n2]
 
     def mesh_extended(self) -> tuple[np.ndarray, np.ndarray]:
         s1 = np.arange(self.n1) / self.n1
@@ -154,47 +171,47 @@ def split_state(x: np.ndarray, grid: tuple[int, int]) -> tuple[np.ndarray, np.nd
     return x[:nf].reshape(n1, n2), x[nf:].reshape(n1, n2)
 
 
-def _grad(sp: _Spectral, Fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gx = np.fft.ifft2(1j * sp.K1 * Fh).real
-    gy = np.fft.ifft2(1j * sp.K2 * Fh).real
-    return gx, gy
-
-
-def _velocity(sp: _Spectral, Bh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    psi_h = sp.inv_lap * Bh
-    v1 = np.fft.ifft2(1j * sp.K2 * psi_h).real
-    v2 = -np.fft.ifft2(1j * sp.K1 * psi_h).real
-    return v1, v2
-
-
-def _rhs_full(sp: _Spectral, Bh: np.ndarray, Th: np.ndarray, sigma: float, nu: float):
-    v1, v2 = _velocity(sp, Bh)
-    bx, by = _grad(sp, Bh)
-    tx, ty = _grad(sp, Th)
-    adv_b = np.fft.fft2(v1 * bx + v2 * by) * sp.dealias
-    adv_t = np.fft.fft2(v1 * tx + v2 * ty) * sp.dealias
-    dBh = -adv_b + sigma * sp.lap * Bh + sigma * nu * (1j * sp.K1) * Th
-    dTh = -adv_t + sp.lap * Th + (1j * sp.K1) * (sp.inv_lap * Bh)
-    return dBh, dTh
-
-
-def _rhs_tau(sp: _Spectral, Th: np.ndarray, Bh: np.ndarray):
-    # tau equation alone, buoyancy prescribed (linear regime).
-    v1, v2 = _velocity(sp, Bh)
-    tx, ty = _grad(sp, Th)
-    adv_t = np.fft.fft2(v1 * tx + v2 * ty) * sp.dealias
-    return -adv_t + sp.lap * Th + (1j * sp.K1) * (sp.inv_lap * Bh)
-
-
-def _sample(sp: _Spectral, Bh: np.ndarray, Th: np.ndarray) -> np.ndarray:
-    b = sp.restrict(np.fft.ifft2(Bh).real)
-    tau = sp.restrict(np.fft.ifft2(Th).real)
-    return np.concatenate([b.ravel(), tau.ravel()])
+def _as_batch(grid: tuple[int, int], *fields) -> tuple[list[np.ndarray], bool]:
+    """Cell-grid fields as (N, n1, n2) stacks, and whether they came as single fields."""
+    grid = tuple(grid)
+    arrays = [np.asarray(f, dtype=float) for f in fields]
+    shape = arrays[0].shape
+    if shape[-2:] != grid or len(shape) not in (2, 3) or any(a.shape != shape for a in arrays):
+        raise InvalidInput(f"fields of shape {grid} or (N, *{grid}) expected, got {[a.shape for a in arrays]}")
+    return [a.reshape((-1,) + grid) for a in arrays], len(shape) == 2
 
 
 def _check_finite(x: np.ndarray, step: int) -> None:
     if not np.all(np.isfinite(x)):
         raise SimulationBlowup(step)
+
+
+def _integrate(cfg: RBConfig, U: np.ndarray, rhs, sample, n_samples: int) -> np.ndarray:
+    """RK4 from spectral state ``U``; ``rhs(U, t)`` is its time derivative, ``sample(U, t)`` its (N, n) states."""
+    if n_samples < 1:
+        raise InvalidInput(f"n_samples must be >= 1, got {n_samples}")
+    first = sample(U, 0.0)
+    out = np.empty((n_samples,) + first.shape)
+    out[0] = first
+    _check_finite(out[0], 0)
+    dt = cfg.dt
+    step = 0
+    t = 0.0
+    for s in range(1, n_samples):
+        for _ in range(cfg.sample_stride):
+            # k1 + 2 k2 + 2 k3 + k4, summed as the stages come: one stage held at a time.
+            acc = k = rhs(U, t)
+            k = rhs(U + 0.5 * dt * k, t + 0.5 * dt)
+            acc += 2 * k
+            k = rhs(U + 0.5 * dt * k, t + 0.5 * dt)
+            acc += 2 * k
+            acc += rhs(U + dt * k, t + dt)
+            U += (dt / 6.0) * acc
+            step += 1
+            t += dt
+        out[s] = sample(U, t)
+        _check_finite(out[s], step)
+    return out
 
 
 def simulate_fields(
@@ -206,32 +223,28 @@ def simulate_fields(
     """Integrate the full nonlinear system from cell-grid fields b0, tau0.
 
     Returns an (n_samples, n) array of states; the first row is the initial
-    state, consecutive rows are ``sample_stride`` RK4 steps apart.  Raises
-    ``SimulationBlowup`` (with the step index) if the state leaves the
-    finite range.
+    state, consecutive rows are ``sample_stride`` RK4 steps apart.  Stacked
+    (N, n1, n2) fields are stepped together and give (n_samples, N, n).
+    Raises ``SimulationBlowup`` (with the step index) if any state leaves
+    the finite range.
     """
-    if n_samples < 1:
-        raise InvalidInput(f"n_samples must be >= 1, got {n_samples}")
+    (b0, tau0), single = _as_batch(cfg.grid, b0, tau0)
     sp = _Spectral(cfg.grid)
-    Bh = np.fft.fft2(sp.extend_odd(np.asarray(b0, dtype=float)))
-    Th = np.fft.fft2(sp.extend_odd(np.asarray(tau0, dtype=float)))
-    out = np.empty((n_samples, cfg.n))
-    out[0] = _sample(sp, Bh, Th)
-    _check_finite(out[0], 0)
-    dt = cfg.dt
-    step = 0
-    for s in range(1, n_samples):
-        for _ in range(cfg.sample_stride):
-            k1b, k1t = _rhs_full(sp, Bh, Th, cfg.sigma, cfg.nu)
-            k2b, k2t = _rhs_full(sp, Bh + 0.5 * dt * k1b, Th + 0.5 * dt * k1t, cfg.sigma, cfg.nu)
-            k3b, k3t = _rhs_full(sp, Bh + 0.5 * dt * k2b, Th + 0.5 * dt * k2t, cfg.sigma, cfg.nu)
-            k4b, k4t = _rhs_full(sp, Bh + dt * k3b, Th + dt * k3t, cfg.sigma, cfg.nu)
-            Bh = Bh + (dt / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
-            Th = Th + (dt / 6.0) * (k1t + 2 * k2t + 2 * k3t + k4t)
-            step += 1
-        out[s] = _sample(sp, Bh, Th)
-        _check_finite(out[s], step)
-    return out
+    diffuse_b = cfg.sigma * sp.lap
+    couple = cfg.sigma * cfg.nu * sp.d1
+
+    def rhs(U, t):
+        B, T = U
+        v1, v2, bx, by, tx, ty = sp.to_grid(np.concatenate([sp.velocity_grad * B, sp.grad * T]))
+        adv_b, adv_t = sp.dealias * np.fft.rfft2(np.stack([v1 * bx + v2 * by, v1 * tx + v2 * ty]))
+        return np.stack([diffuse_b * B + couple * T - adv_b, sp.lap * T + sp.forcing * B - adv_t])
+
+    def sample(U, t):
+        return sp.restrict(sp.to_grid(U)).swapaxes(0, 1).reshape(len(b0), -1)
+
+    U = np.fft.rfft2(sp.extend_odd(np.stack([b0, tau0])))
+    out = _integrate(cfg, U, rhs, sample, n_samples)
+    return out[:, 0] if single else out
 
 
 def simulate_rb(cfg: RBConfig, ic: InitCondition, n_samples: int) -> np.ndarray:
@@ -266,36 +279,30 @@ def simulate_linear_fields(
     """Integrate the linear (Taylor-vortex) regime: analytic b, stepped tau.
 
     Buoyancy is evaluated, not stepped; the tau equation is advanced by RK4
-    with the velocity derived from the analytic buoyancy at each stage time.
+    with the velocity and forcing of the analytic buoyancy at each stage
+    time.  ``ic`` sets the buoyancy of every trajectory; a stack of (N, n1,
+    n2) tau fields gives (n_samples, N, n), one field (n_samples, n).
     """
-    if n_samples < 1:
-        raise InvalidInput(f"n_samples must be >= 1, got {n_samples}")
+    (tau0,), single = _as_batch(cfg.grid, tau0)
     sp = _Spectral(cfg.grid)
-    S1, S2 = sp.mesh_extended()
-    mode = np.sin(ic.a_b * S1) * np.sin(np.pi * S2)
-    Bh0 = np.fft.fft2(ic.kappa_b * mode)
     rate = taylor_decay_rate(cfg.sigma, ic.a_b)
-    Th = np.fft.fft2(sp.extend_odd(np.asarray(tau0, dtype=float)))
-    out = np.empty((n_samples, cfg.n))
-    out[0] = _sample(sp, Bh0, Th)
-    dt = cfg.dt
-    step = 0
-    t = 0.0
-    for s in range(1, n_samples):
-        for _ in range(cfg.sample_stride):
-            B_t = Bh0 * np.exp(-rate * t)
-            B_half = Bh0 * np.exp(-rate * (t + 0.5 * dt))
-            B_full = Bh0 * np.exp(-rate * (t + dt))
-            k1 = _rhs_tau(sp, Th, B_t)
-            k2 = _rhs_tau(sp, Th + 0.5 * dt * k1, B_half)
-            k3 = _rhs_tau(sp, Th + 0.5 * dt * k2, B_half)
-            k4 = _rhs_tau(sp, Th + dt * k3, B_full)
-            Th = Th + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            step += 1
-            t += dt
-        out[s] = _sample(sp, Bh0 * np.exp(-rate * t), Th)
-        _check_finite(out[s], step)
-    return out
+    Bh0 = np.fft.rfft2(analytic_buoyancy(cfg, ic, 0.0, extended=True))
+    v1, v2 = sp.to_grid(sp.velocity_grad[:2, 0] * Bh0)
+    force = sp.forcing * Bh0
+    b0 = analytic_buoyancy(cfg, ic, 0.0).ravel()
+
+    def rhs(T, t):
+        decay = np.exp(-rate * t)
+        tx, ty = sp.to_grid(sp.grad * T)
+        adv = sp.dealias * np.fft.rfft2(decay * (v1 * tx + v2 * ty))
+        return sp.lap * T + decay * force - adv
+
+    def sample(T, t):
+        tau = sp.restrict(sp.to_grid(T)).reshape(len(T), -1)
+        return np.concatenate([np.broadcast_to(np.exp(-rate * t) * b0, tau.shape), tau], axis=1)
+
+    out = _integrate(cfg, np.fft.rfft2(sp.extend_odd(tau0)), rhs, sample, n_samples)
+    return out[:, 0] if single else out
 
 
 def simulate_rb_linear(cfg: RBConfig, ic: InitCondition, n_samples: int) -> np.ndarray:

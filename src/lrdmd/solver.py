@@ -210,7 +210,9 @@ class LowRankFit:
 def fit_optimal(data: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> LowRankFit:
     """The optimum for every k from the thin SVDs of X and ``C = Y V_r``, in O(m^2 (m + n)).
 
-    Formulas in the module docstring; the fit's rank is the numerical rank of C.
+    Formulas in the module docstring.  The fit's rank counts the singular
+    values of C above ``rank_tol * ||Y||_F``: measured against C's own largest
+    one, pure roundoff (Y's rows orthogonal to the row space of X) would count.
     """
     svd_x = thin_svd(data.X)
     r = numerical_rank(svd_x, rank_tol)
@@ -221,8 +223,9 @@ def fit_optimal(data: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> LowRa
     leak = audit.mm(C, Vr.T)
     np.subtract(data.Y, leak, out=leak)
     Q_mix = svd_c.right * svd_c.S / svd_x.S[:r, None]
+    rank = int(np.count_nonzero(svd_c.S > rank_tol * np.linalg.norm(data.Y)))
     return LowRankFit(
-        data.m, numerical_rank(svd_c, rank_tol), svd_c.left, None, svd_x.left[:, :r], Q_mix,
+        data.m, rank, svd_c.left, None, svd_x.left[:, :r], Q_mix,
         s=svd_c.S, leak_sq=float(np.vdot(leak, leak)),
     )
 

@@ -16,7 +16,9 @@ from lrdmd import (
     projected_dmd_baseline,
     truncated_baseline,
 )
+from lrdmd.benchmarks import physical_config
 from lrdmd.linalg import thin_svd
+from lrdmd.rb import InitCondition, degenerate_kappa_b, simulate_fields, simulate_linear_fields, split_state
 
 from conftest import rel_close
 
@@ -88,6 +90,24 @@ class TestGenPhysical:
         b = lrdmd.gen_physical("iv", seed=3)
         assert a.X.tobytes() == b.X.tobytes()
         assert a.Y.tobytes() == b.Y.tobytes()
+
+    @pytest.mark.parametrize("setting", ["iv", "vi"])
+    def test_matches_single_trajectory_runs(self, setting):
+        # Each trajectory re-run alone from its first snapshot.
+        data = lrdmd.gen_physical(setting, seed=3)
+        cfg = physical_config(setting)
+        buoyancy = InitCondition(a_b=2 * np.pi, kappa_b=degenerate_kappa_b(cfg.sigma, 2 * np.pi))
+        steps = data.traj_len - 1
+        scale = np.max(np.abs(data.X))
+        for j in range(data.n_traj):
+            b0, tau0 = split_state(data.X[:, j * steps], cfg.grid)
+            if setting == "iv":
+                states = simulate_linear_fields(cfg, buoyancy, tau0, data.traj_len)
+            else:
+                states = simulate_fields(cfg, b0, tau0, data.traj_len)
+            cols = slice(j * steps, (j + 1) * steps)
+            assert np.max(np.abs(data.X[:, cols] - states[:-1].T)) <= 1e-12 * scale
+            assert np.max(np.abs(data.Y[:, cols] - states[1:].T)) <= 1e-12 * scale
 
     def test_setting_iv_exact_low_rank(self, rb_datasets):
         data = rb_datasets["iv"]

@@ -11,6 +11,7 @@ from lrdmd.rb import (
     degenerate_kappa_b,
     lorenz_init,
     simulate_fields,
+    simulate_linear_fields,
     simulate_rb,
     simulate_rb_linear,
     split_state,
@@ -137,6 +138,17 @@ class TestStability:
             simulate_fields(cfg, b0, tau0, 40)
         assert exc.value.step > 0
 
+    def test_blowup_detected_in_a_stack(self):
+        # the unstable input of the test above, between two tame trajectories
+        cfg = RBConfig(sigma=1.0, nu=0.0, dt=5e-3, sample_stride=50)
+        rng = np.random.default_rng(0)
+        b0 = 0.1 * rng.standard_normal((16, 32))
+        tau0 = 0.1 * rng.standard_normal((16, 32))
+        tame = np.zeros((16, 32))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationBlowup) as exc:
+            simulate_fields(cfg, np.stack([tame, b0, tame]), np.stack([tame, tau0, tame]), 40)
+        assert exc.value.step > 0
+
     def test_determinism(self):
         cfg = RBConfig(nu=6000.0)
         ic = _degenerate_ic(kappa_tau1=0.2, kappa_tau2=0.1)
@@ -147,3 +159,50 @@ class TestStability:
     def test_bad_sample_count(self):
         with pytest.raises(InvalidInput):
             simulate_rb(RBConfig(), InitCondition(), 0)
+
+
+class TestBatch:
+    """A stack of N fields is stepped as N independent single-field runs."""
+
+    def _fields(self, count):
+        rng = np.random.default_rng(4)
+        S1 = np.arange(16)[:, None] / 16
+        S2 = np.arange(32)[None, :] / 32
+        pairs = []
+        for j in range(count):
+            ic = InitCondition(a_b=TWO_PI * (1 + j % 2), a_tau=TWO_PI * (1 + j), kappa_b=0.1 + 0.1 * j,
+                               kappa_tau1=0.2, kappa_tau2=0.05 * j)
+            b, tau = split_state(lorenz_init(ic), (16, 32))
+            tau = tau + 0.02 * rng.random() * np.sin(TWO_PI * S1) * np.sin(3 * np.pi * S2)
+            pairs.append((b, tau))
+        return np.stack([b for b, _ in pairs]), np.stack([tau for _, tau in pairs])
+
+    def test_simulate_fields_batch_equals_single_runs(self):
+        cfg = RBConfig(nu=6000.0, sample_stride=20)
+        b0, tau0 = self._fields(3)
+        batch = simulate_fields(cfg, b0, tau0, 5)
+        assert batch.shape == (5, 3, cfg.n)
+        scale = np.max(np.abs(batch))
+        for j in range(3):
+            single = simulate_fields(cfg, b0[j], tau0[j], 5)
+            assert single.shape == (5, cfg.n)
+            assert np.max(np.abs(batch[:, j] - single)) <= 1e-13 * scale
+
+    def test_simulate_linear_fields_batch_equals_single_runs(self):
+        cfg = RBConfig(sample_stride=20)
+        ic = _degenerate_ic(sigma=cfg.sigma)
+        _, tau0 = self._fields(3)
+        batch = simulate_linear_fields(cfg, ic, tau0, 5)
+        assert batch.shape == (5, 3, cfg.n)
+        scale = np.max(np.abs(batch))
+        for j in range(3):
+            single = simulate_linear_fields(cfg, ic, tau0[j], 5)
+            assert single.shape == (5, cfg.n)
+            assert np.max(np.abs(batch[:, j] - single)) <= 1e-13 * scale
+
+    def test_rejects_mismatched_fields(self):
+        b0, tau0 = self._fields(2)
+        with pytest.raises(InvalidInput):
+            simulate_fields(RBConfig(), b0, tau0[0], 2)
+        with pytest.raises(InvalidInput):
+            simulate_fields(RBConfig(), b0[:, :, :16], tau0[:, :, :16], 2)

@@ -163,6 +163,16 @@ class TestOptimal:
             assert "rank_deficient" in op.flags
             assert op.r <= 12
 
+    def test_y_orthogonal_to_row_space_of_x_flagged(self):
+        # C = Y V_r is pure roundoff here; none of its directions is rank.
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 10))
+        V3 = thin_svd(X).right[:, :3]
+        Y = rng.standard_normal((30, 10)) @ (np.eye(10) - V3 @ V3.T)
+        op = optimal_lowrank(SnapshotPair(X=X, Y=Y), 2)
+        assert "rank_deficient" in op.flags
+        assert op.r == 0
+
     def test_never_materialises_nxn(self):
         from lrdmd import audit
 
