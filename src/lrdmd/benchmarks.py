@@ -22,7 +22,7 @@ from .rb import (
     InitCondition,
     TWO_PI,
     _lorenz_fields,
-    _Spectral,
+    cell_mesh,
     degenerate_kappa_b,
     simulate_fields,
     simulate_linear_fields,
@@ -117,8 +117,7 @@ PHYSICAL_LAYOUT = {"iv": (50, 2), "v": (5, 11), "vi": (5, 11)}
 HYPERCUBE_DIM = 10
 
 
-def _extra_tau(sp: _Spectral, amps: np.ndarray, n_modes: int) -> np.ndarray:
-    S1, S2 = sp.mesh_cell()
+def _extra_tau(S1: np.ndarray, S2: np.ndarray, amps: np.ndarray, n_modes: int) -> np.ndarray:
     tau = np.zeros_like(S1)
     for a, (p, q, kind) in zip(amps[:n_modes], _EXTRA_MODES[:n_modes]):
         base = np.sin(TWO_PI * p * S1) if kind == "sin" else np.cos(TWO_PI * p * S1)
@@ -154,8 +153,7 @@ def gen_physical(setting: str, seed: int, cfg: RBConfig | None = None) -> Snapsh
         cfg = physical_config(setting)
     N, T = PHYSICAL_LAYOUT[setting]
     rng = _rng(seed)
-    sp = _Spectral(cfg.grid)
-    S1, S2 = sp.mesh_cell()
+    S1, S2 = cell_mesh(cfg.grid)
     linear = setting in ("iv", "v")
     buoyancy = InitCondition(a_b=TWO_PI, kappa_b=degenerate_kappa_b(cfg.sigma, TWO_PI))
     b0s, tau0s = [], []
@@ -170,7 +168,7 @@ def gen_physical(setting: str, seed: int, cfg: RBConfig | None = None) -> Snapsh
                 kappa_tau2=0.1 * u[2] + 0.01 * (u[9] - 0.5),
             )
             _, tau0 = _lorenz_fields(ic, S1, S2)
-            tau0 = tau0 + _extra_tau(sp, 0.05 * u[3:8], 5)
+            tau0 = tau0 + _extra_tau(S1, S2, 0.05 * u[3:8], 5)
             # Trace amounts of the two slowest temperature modes.  They carry
             # negligible data energy (the optimal fit at k = 10 ignores them)
             # but the largest one-step gains, so SVD truncation of the
@@ -187,7 +185,7 @@ def gen_physical(setting: str, seed: int, cfg: RBConfig | None = None) -> Snapsh
                 kappa_tau2=0.5 * u[2] + 0.05 * (u[9] - 0.5),
             )
             b0, tau0 = _lorenz_fields(ic, S1, S2)
-            tau0 = tau0 + _extra_tau(sp, 0.25 * u[4:8], 4)
+            tau0 = tau0 + _extra_tau(S1, S2, 0.25 * u[4:8], 4)
             b0s.append(b0)
         tau0s.append(tau0)
     if linear:

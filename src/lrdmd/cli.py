@@ -227,14 +227,16 @@ def _load_theta(args, n: int) -> np.ndarray:
         M = lio.read_matrix_csv(args.theta_file)
         theta = M.ravel()
     elif args.dataset is not None and args.column is not None:
-        data, _ = lio.read_dataset(args.dataset)
-        if not (0 <= args.column < data.m):
-            raise InvalidInput(f"column must lie in [0, {data.m})")
-        theta = data.X[:, args.column]
+        X = lio.read_matrix_csv(Path(args.dataset) / lio.X_NAME)  # the initial state is a column of X alone
+        if not (0 <= args.column < X.shape[1]):
+            raise InvalidInput(f"column must lie in [0, {X.shape[1]})")
+        theta = X[:, args.column]
     else:
         raise InvalidInput("need --theta-file or --dataset with --column")
     if theta.size != n:
         raise InvalidInput(f"initial condition has length {theta.size}, model expects {n}")
+    if not np.all(np.isfinite(theta)):
+        raise InvalidInput("initial condition contains non-finite entries")
     return theta
 
 

@@ -7,24 +7,30 @@ The coupled system for buoyancy b and temperature tau,
     v = grad_perp Lap^-1 b,
 
 is discretised on an n1 x n2 grid of the cell [0,1)^2.  The s1 direction is
-periodic.  The s2 direction carries half-sine data (sin(pi s2), sin(2 pi s2),
-...), which is handled by odd extension to a period-2 domain so every field
-is an exact Fourier mode of the extended grid; the odd subspace is invariant
-under the dynamics, so the restriction back to [0,1) is lossless.  All
-derivatives and Lap^-1 are spectral (zero mode of Lap^-1 gauged to zero);
-advection products are formed pointwise and 2/3-dealiased.  Time stepping is
-plain explicit RK4; the default dt=1e-4 keeps |Lap|_max * dt inside the RK4
+periodic.  Along s2 every field is a half-sine series, sin(pi q s2) for
+q = 1..n2-1 (b, tau, v2 and the d_s1 fields), or a half-cosine series (v1 and
+the d_s2 fields); the sine subspace is invariant under the dynamics.  s2 = 0
+is the wall, where every sine field vanishes, so input fields are projected
+onto the sine series: their s2 = 0 column is ignored and every sampled state
+has an exactly zero s2 = 0 column.  Along s1 each field is its ``rfft`` half
+spectrum, f1 = 0..n1/2.  Lap, Lap^-1, d_s1, d_s2 (sine to cosine) and the
+forcing are diagonal multipliers on these coefficients; Lap has no zero mode
+on sine modes.  The first-derivative wavenumber is zero at the s1 Nyquist
+frequency, where a real field has no derivative.  Time stepping is plain
+explicit RK4; the default dt=1e-4 keeps |Lap|_max * dt inside the RK4
 stability interval for the default grid with sigma, nu of order one.
 
-Fields are real, so each is held as its half spectrum: ``np.fft.rfft2`` over
-the last two axes of the extended grid gives n1 x (n2 + 1) coefficients, all
-s1 frequencies and the non-negative s2 ones.  First-derivative wavenumbers
-are zero at the two Nyquist frequencies, where a real field has no
-derivative.  Leading axes are a batch of trajectories stepped together, so
-one right-hand side costs one ``irfft2`` of the stacked derivative fields
-and one ``rfft2`` of the stacked advection products for the whole batch.  In
-the linear (Taylor-vortex) regime the buoyancy is analytic and shared by
-every trajectory: its velocity and forcing are formed once and scaled by
+Coefficients are held as (q, field, batch, f1) arrays; the leading batch axis
+is a stack of trajectories stepped together.  The s2 synthesis and analysis
+are each one real GEMM over the whole stack, on the complex array viewed as
+float pairs; the s1 direction is ``np.fft.rfft``/``irfft`` on the last axis.
+The advection products are odd in s2, so they are formed only on the
+n1 x (n2 - 1) interior points, and their analysis keeps only the rows
+q < 2 n2 / 3 and the columns f1 < n1 / 3 of the 2/3 rule.  One right-hand
+side is one synthesis of the stream function, b and tau with their
+derivatives, and one analysis of the two advection products.  In the linear
+(Taylor-vortex) regime the buoyancy is analytic and shared by every
+trajectory: its velocity and forcing are formed once and scaled by
 exp(-rate t) at each RK4 stage.
 
 State layout: x = (b; tau), each field raveled row-major over (i1, i2), so
@@ -101,51 +107,72 @@ def degenerate_kappa_b(sigma: float, a_b: float) -> float:
     return 1.0 / (sigma * (np.pi * a_b) ** 2)
 
 
-class _Spectral:
-    """Half-spectrum wavenumber grids and operator products for one (n1, n2) cell grid."""
+def cell_mesh(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates (S1, S2) of the n1 x n2 cell grid, s = i / n along each axis."""
+    n1, n2 = grid
+    if n1 < 4 or n2 < 4:
+        raise InvalidInput(f"grid too small: {grid}")
+    return np.meshgrid(np.arange(n1) / n1, np.arange(n2) / n2, indexing="ij")
+
+
+def _s2(M: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Apply the real (rows, q) matrix ``M`` to axis 0 of complex ``C`` as one GEMM on its float pairs."""
+    pairs = np.ascontiguousarray(C).view(np.float64).reshape(len(C), -1)
+    return (M @ pairs).view(np.complex128).reshape((len(M),) + C.shape[1:])
+
+
+class _SineFourier:
+    """Sine-Fourier coefficients and diagonal operators for one (n1, n2) cell grid.
+
+    A coefficient array is (q, field, batch, f1): sine modes q = 1..n2-1 along
+    s2 and the ``rfft`` half spectrum f1 = 0..n1/2 along s1.  Grid arrays are
+    (j, field, batch, i1) on the interior points s2 = j / n2, j = 1..n2-1.
+    """
 
     def __init__(self, grid: tuple[int, int]):
+        cell_mesh(grid)  # validates the grid
         n1, n2 = grid
-        if n1 < 4 or n2 < 4:
-            raise InvalidInput(f"grid too small: {grid}")
         self.n1, self.n2 = n1, n2
-        self.shape = (n1, 2 * n2)  # odd-extended grid
-        f1 = (np.fft.fftfreq(n1) * n1)[:, None]  # integer cycle counts
-        f2 = (np.fft.rfftfreq(2 * n2) * (2 * n2))[None, :]
-        k1 = TWO_PI * f1  # cell length 1 in s1
-        k2 = np.pi * f2  # cell length 2 in s2
-        self.lap = -(k1**2 + k2**2)
-        inv_lap = np.divide(1.0, self.lap, out=np.zeros_like(self.lap), where=self.lap != 0.0)
-        self.d1 = 1j * np.where(f1 == -n1 / 2, 0.0, k1) * np.ones_like(k2)
-        d2 = 1j * np.where(f2 == n2, 0.0, k2) * np.ones_like(k1)
-        # Applied to b: v1 = d_s2 Lap^-1 b, v2 = -d_s1 Lap^-1 b, d_s1 b, d_s2 b.
-        self.velocity_grad = np.stack([d2 * inv_lap, -self.d1 * inv_lap, self.d1, d2])[:, None]
-        self.grad = self.velocity_grad[2:]
-        self.forcing = self.d1 * inv_lap  # d_s1 Lap^-1
-        self.dealias = (np.abs(f1) < n1 / 3.0) & (f2 < 2 * n2 / 3.0)
+        q = np.arange(1, n2)
+        f1 = np.arange(n1 // 2 + 1)
+        kq = np.pi * q
+        k1 = TWO_PI * f1
+        self.lap = -(k1**2 + kq[:, None, None, None] ** 2)
+        self.inv_lap = 1.0 / self.lap  # q >= 1: Lap is never zero on sine modes
+        self.d1 = 1j * np.where(f1 == n1 / 2, 0.0, k1)
+        self.forcing = self.d1 * self.inv_lap  # d_s1 Lap^-1
+        phase = np.pi * np.outer(q, q) / n2  # (j, q) = (q, j): DST-I is symmetric
+        self.sine = np.sin(phase)
+        # Synthesis of d_s2 (cosine modes, pi q each) over synthesis of the sine modes.
+        self.synth_grad = np.concatenate([np.cos(phase) * kq, self.sine])
+        self.analysis = (2.0 / n2) * self.sine
+        # 2/3 rule: the advection products keep q < 2 n2 / 3 and f1 < n1 / 3.
+        self.keep_q = int(np.sum(q < 2 * n2 / 3.0))
+        self.keep_f1 = int(np.sum(f1 < n1 / 3.0))
+        self.analysis_dealiased = self.analysis[: self.keep_q]
 
-    def to_grid(self, F: np.ndarray) -> np.ndarray:
-        return np.fft.irfft2(F, s=self.shape)
+    def from_cell(self, fields: np.ndarray) -> np.ndarray:
+        """(F, N, n1, n2) cell-grid fields to coefficients, projected onto the sine modes."""
+        interior = np.moveaxis(fields[..., 1:], -1, 0)
+        return _s2(self.analysis, np.fft.rfft(interior))
 
-    def extend_odd(self, f: np.ndarray) -> np.ndarray:
-        n2 = self.n2
-        ext = np.zeros(f.shape[:-1] + (2 * n2,))
-        ext[..., :n2] = f
-        ext[..., n2 + 1 :] = -f[..., :0:-1]
-        return ext
+    def to_cell(self, U: np.ndarray) -> np.ndarray:
+        """Coefficients (q, F, N, f1) to (N, F * n1 * n2) cell-grid states; the s2 = 0 column is 0."""
+        g = np.fft.irfft(_s2(self.sine, U), n=self.n1)
+        cell = np.zeros((g.shape[2], g.shape[1], self.n1, self.n2))
+        cell[..., 1:] = g.transpose(2, 1, 3, 0)
+        return cell.reshape(len(cell), -1)
 
-    def restrict(self, fe: np.ndarray) -> np.ndarray:
-        return fe[..., : self.n2]
+    def grad_grid(self, U: np.ndarray) -> np.ndarray:
+        """(d_s2, d_s1) of sine fields (q, F, N, f1) on the interior grid, (2, j, F, N, n1)."""
+        G = _s2(self.synth_grad, U).reshape((2, self.n2 - 1) + U.shape[1:])
+        G[1] *= self.d1  # d_s1 acts on f1 alone, so it commutes with the s2 synthesis
+        return np.fft.irfft(G, n=self.n1)
 
-    def mesh_extended(self) -> tuple[np.ndarray, np.ndarray]:
-        s1 = np.arange(self.n1) / self.n1
-        s2 = np.arange(2 * self.n2) / self.n2
-        return s1[:, None] * np.ones((1, 2 * self.n2)), np.ones((self.n1, 1)) * s2[None, :]
-
-    def mesh_cell(self) -> tuple[np.ndarray, np.ndarray]:
-        s1 = np.arange(self.n1) / self.n1
-        s2 = np.arange(self.n2) / self.n2
-        return s1[:, None] * np.ones((1, self.n2)), np.ones((self.n1, 1)) * s2[None, :]
+    def advection(self, v1: np.ndarray, v2: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """Dealiased coefficients (keep_q, F, N, keep_f1) of v . grad from ``grad_grid`` output."""
+        products = np.fft.rfft(v1 * G[1] + v2 * G[0])[..., : self.keep_f1]
+        return _s2(self.analysis_dealiased, products)
 
 
 def _lorenz_fields(ic: InitCondition, S1: np.ndarray, S2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,9 +183,7 @@ def _lorenz_fields(ic: InitCondition, S1: np.ndarray, S2: np.ndarray) -> tuple[n
 
 def lorenz_init(ic: InitCondition, grid: tuple[int, int] = (16, 32)) -> np.ndarray:
     """Stacked (b; tau) state vector of the Lorenz-style initial condition."""
-    sp = _Spectral(grid)
-    S1, S2 = sp.mesh_cell()
-    b, tau = _lorenz_fields(ic, S1, S2)
+    b, tau = _lorenz_fields(ic, *cell_mesh(grid))
     return np.concatenate([b.ravel(), tau.ravel()])
 
 
@@ -186,6 +211,16 @@ def _check_finite(x: np.ndarray, step: int) -> None:
         raise SimulationBlowup(step)
 
 
+def _flush_tiny(U: np.ndarray) -> None:
+    """Zero, in place, the float parts of ``U`` below 1e-290.
+
+    Decaying high modes otherwise pass through the subnormal range, where the
+    s2 GEMMs run several times slower; no state moves by more than 1e-290.
+    """
+    pairs = U.view(np.float64)
+    pairs[np.abs(pairs) < 1e-290] = 0.0
+
+
 def _integrate(cfg: RBConfig, U: np.ndarray, rhs, sample, n_samples: int) -> np.ndarray:
     """RK4 from spectral state ``U``; ``rhs(U, t)`` is its time derivative, ``sample(U, t)`` its (N, n) states."""
     if n_samples < 1:
@@ -207,6 +242,7 @@ def _integrate(cfg: RBConfig, U: np.ndarray, rhs, sample, n_samples: int) -> np.
             acc += 2 * k
             acc += rhs(U + dt * k, t + dt)
             U += (dt / 6.0) * acc
+            _flush_tiny(U)
             step += 1
             t += dt
         out[s] = sample(U, t)
@@ -229,29 +265,25 @@ def simulate_fields(
     the finite range.
     """
     (b0, tau0), single = _as_batch(cfg.grid, b0, tau0)
-    sp = _Spectral(cfg.grid)
+    sp = _SineFourier(cfg.grid)
     diffuse_b = cfg.sigma * sp.lap
     couple = cfg.sigma * cfg.nu * sp.d1
 
     def rhs(U, t):
-        B, T = U
-        v1, v2, bx, by, tx, ty = sp.to_grid(np.concatenate([sp.velocity_grad * B, sp.grad * T]))
-        adv_b, adv_t = sp.dealias * np.fft.rfft2(np.stack([v1 * bx + v2 * by, v1 * tx + v2 * ty]))
-        return np.stack([diffuse_b * B + couple * T - adv_b, sp.lap * T + sp.forcing * B - adv_t])
+        B, T = U[:, :1], U[:, 1:]
+        # Stream function Lap^-1 b, b and tau: v = (d_s2, -d_s1) Lap^-1 b.
+        G = sp.grad_grid(np.concatenate([sp.inv_lap * B, U], axis=1))
+        out = np.concatenate([diffuse_b * B + couple * T, sp.lap * T + sp.forcing * B], axis=1)
+        out[: sp.keep_q, ..., : sp.keep_f1] -= sp.advection(G[0, :, :1], -G[1, :, :1], G[:, :, 1:])
+        return out
 
-    def sample(U, t):
-        return sp.restrict(sp.to_grid(U)).swapaxes(0, 1).reshape(len(b0), -1)
-
-    U = np.fft.rfft2(sp.extend_odd(np.stack([b0, tau0])))
-    out = _integrate(cfg, U, rhs, sample, n_samples)
+    out = _integrate(cfg, sp.from_cell(np.stack([b0, tau0])), rhs, lambda U, t: sp.to_cell(U), n_samples)
     return out[:, 0] if single else out
 
 
 def simulate_rb(cfg: RBConfig, ic: InitCondition, n_samples: int) -> np.ndarray:
     """Nonlinear convection run from a Lorenz-style initial condition."""
-    sp = _Spectral(cfg.grid)
-    S1, S2 = sp.mesh_cell()
-    b0, tau0 = _lorenz_fields(ic, S1, S2)
+    b0, tau0 = _lorenz_fields(ic, *cell_mesh(cfg.grid))
     return simulate_fields(cfg, b0, tau0, n_samples)
 
 
@@ -264,8 +296,12 @@ def analytic_buoyancy(
     decays at ``taylor_decay_rate`` (its nonlinear self-advection vanishes
     identically), so b(s, t) = kappa_b exp(-rate t) sin(a_b s1) sin(pi s2).
     """
-    sp = _Spectral(cfg.grid)
-    S1, S2 = sp.mesh_extended() if extended else sp.mesh_cell()
+    n1, n2 = cfg.grid
+    if extended:  # the period-2 odd extension of the cell along s2: s2 = j / n2, j < 2 n2
+        S1, S2 = cell_mesh((n1, 2 * n2))
+        S2 = 2.0 * S2
+    else:
+        S1, S2 = cell_mesh(cfg.grid)
     rate = taylor_decay_rate(cfg.sigma, ic.a_b)
     return ic.kappa_b * np.exp(-rate * t_phys) * np.sin(ic.a_b * S1) * np.sin(np.pi * S2)
 
@@ -284,30 +320,30 @@ def simulate_linear_fields(
     n2) tau fields gives (n_samples, N, n), one field (n_samples, n).
     """
     (tau0,), single = _as_batch(cfg.grid, tau0)
-    sp = _Spectral(cfg.grid)
+    sp = _SineFourier(cfg.grid)
     rate = taylor_decay_rate(cfg.sigma, ic.a_b)
-    Bh0 = np.fft.rfft2(analytic_buoyancy(cfg, ic, 0.0, extended=True))
-    v1, v2 = sp.to_grid(sp.velocity_grad[:2, 0] * Bh0)
-    force = sp.forcing * Bh0
-    b0 = analytic_buoyancy(cfg, ic, 0.0).ravel()
+    b0 = analytic_buoyancy(cfg, ic, 0.0)
+    B0 = sp.from_cell(b0[None, None])
+    grad_psi = sp.grad_grid(sp.inv_lap * B0)
+    v1, v2 = grad_psi[0], -grad_psi[1]
+    force = sp.forcing * B0
+    b0 = b0.ravel()
 
     def rhs(T, t):
         decay = np.exp(-rate * t)
-        tx, ty = sp.to_grid(sp.grad * T)
-        adv = sp.dealias * np.fft.rfft2(decay * (v1 * tx + v2 * ty))
-        return sp.lap * T + decay * force - adv
+        out = sp.lap * T + decay * force
+        out[: sp.keep_q, ..., : sp.keep_f1] -= decay * sp.advection(v1, v2, sp.grad_grid(T))
+        return out
 
     def sample(T, t):
-        tau = sp.restrict(sp.to_grid(T)).reshape(len(T), -1)
+        tau = sp.to_cell(T)
         return np.concatenate([np.broadcast_to(np.exp(-rate * t) * b0, tau.shape), tau], axis=1)
 
-    out = _integrate(cfg, np.fft.rfft2(sp.extend_odd(tau0)), rhs, sample, n_samples)
+    out = _integrate(cfg, sp.from_cell(tau0[None]), rhs, sample, n_samples)
     return out[:, 0] if single else out
 
 
 def simulate_rb_linear(cfg: RBConfig, ic: InitCondition, n_samples: int) -> np.ndarray:
     """Linear-regime run from a Lorenz-style initial condition."""
-    sp = _Spectral(cfg.grid)
-    S1, S2 = sp.mesh_cell()
-    _, tau0 = _lorenz_fields(ic, S1, S2)
+    _, tau0 = _lorenz_fields(ic, *cell_mesh(cfg.grid))
     return simulate_linear_fields(cfg, ic, tau0, n_samples)

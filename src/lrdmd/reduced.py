@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import audit
 from .errors import DiagonalisabilityWarning, InvalidInput, InvalidOperator, PairingFailure, SimulationBlowup
@@ -125,6 +124,8 @@ def build_svd_reduced_model(op: FactoredOperator) -> ReducedModel:
 
 def _match_left_right(lam_r: np.ndarray, lam_l: np.ndarray) -> np.ndarray:
     """Permutation aligning the left eigensolve's spectrum with the right one."""
+    from scipy.optimize import linear_sum_assignment  # its only user; the import costs ~0.7 s
+
     dist = np.abs(lam_r[:, None] - lam_l[None, :])
     row, col = linear_sum_assignment(dist)
     perm = np.empty_like(col)

@@ -1,6 +1,10 @@
 """Persistence round-trips and the command-line surface (exit-code contract)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +220,29 @@ class TestCli:
         )
         assert rc == 2
 
+    def test_simulate_reads_only_x_and_rejects_nonfinite_theta(self, toy_ds, tmp_path):
+        fit = tmp_path / "fit"
+        assert main(["fit", str(toy_ds), "--method", "optimal", "--k", "4", "--out", str(fit), "--quiet"]) == 0
+        (toy_ds / lio.Y_NAME).unlink()
+        X = lio.read_matrix_csv(toy_ds / lio.X_NAME)
+
+        def simulate(column):
+            return main(["simulate", str(fit / "model-reduced.json"), "--dataset", str(toy_ds),
+                         "--column", str(column), "--steps", "1", "--out", str(tmp_path / "o.csv"), "--quiet"])
+
+        assert simulate(3) == 0
+        np.testing.assert_array_equal(lio.read_matrix_csv(tmp_path / "o.csv")[0], X[:, 3])
+        assert simulate(X.shape[1]) == 2
+        assert simulate(-1) == 2
+        X[5, 2] = np.nan
+        lio.write_matrix_csv(toy_ds / lio.X_NAME, X)
+        assert simulate(2) == 2
+        assert simulate(3) == 0
+        theta = tmp_path / "theta.csv"
+        lio.write_matrix_csv(theta, X[:, 2:3].T)
+        assert main(["simulate", str(fit / "model-reduced.json"), "--theta-file", str(theta),
+                     "--steps", "1", "--out", str(tmp_path / "o.csv"), "--quiet"]) == 2
+
     def test_verify_ok(self, toy_ds, capsys):
         assert main(["verify", str(toy_ds), "--k", "6"]) == 0
         out = capsys.readouterr().out
@@ -358,3 +385,10 @@ class TestCliSpectralDatasets:
         training = np.column_stack([data.X[:, :10], data.Y[:, 9]]).T  # trajectory 0
         scale = np.linalg.norm(training, axis=1).max()
         assert np.max(np.abs(replay[1:] - training[1:])) <= 1e-6 * scale
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported only where it is used; loading it costs most of the CLI start-up.
+    code = "import sys, lrdmd.cli; sys.exit('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(lrdmd.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lrdmd import InvalidInput, SimulationBlowup
+from lrdmd import rb
 from lrdmd.rb import (
     InitCondition,
     RBConfig,
@@ -23,6 +24,86 @@ TWO_PI = 2 * np.pi
 
 def _degenerate_ic(sigma=1.0, a_b=TWO_PI, **kw):
     return InitCondition(a_b=a_b, a_tau=TWO_PI, kappa_b=degenerate_kappa_b(sigma, a_b), **kw)
+
+
+def _stack(count):
+    """(count, 16, 32) stacks of b and tau: Lorenz fields plus a random third sine mode in tau."""
+    rng = np.random.default_rng(4)
+    S1 = np.arange(16)[:, None] / 16
+    S2 = np.arange(32)[None, :] / 32
+    pairs = []
+    for j in range(count):
+        ic = InitCondition(a_b=TWO_PI * (1 + j % 2), a_tau=TWO_PI * (1 + j), kappa_b=0.1 + 0.1 * j,
+                           kappa_tau1=0.2, kappa_tau2=0.05 * j)
+        b, tau = split_state(lorenz_init(ic), (16, 32))
+        tau = tau + 0.02 * rng.random() * np.sin(TWO_PI * S1) * np.sin(3 * np.pi * S2)
+        pairs.append((b, tau))
+    return np.stack([b for b, _ in pairs]), np.stack([tau for _, tau in pairs])
+
+
+class _OddExtended:
+    """Oracle: the full-period ``rfft2`` discretisation of the odd extension to s2 in [0, 2)."""
+
+    def __init__(self, grid):
+        n1, n2 = grid
+        self.n2, self.shape = n2, (n1, 2 * n2)
+        f1 = (np.fft.fftfreq(n1) * n1)[:, None]
+        f2 = (np.fft.rfftfreq(2 * n2) * (2 * n2))[None, :]
+        k1, k2 = TWO_PI * f1, np.pi * f2
+        self.lap = -(k1**2 + k2**2)
+        inv_lap = np.divide(1.0, self.lap, out=np.zeros_like(self.lap), where=self.lap != 0.0)
+        self.d1 = 1j * np.where(f1 == -n1 / 2, 0.0, k1) * np.ones_like(k2)
+        d2 = 1j * np.where(f2 == n2, 0.0, k2) * np.ones_like(k1)
+        self.velocity = np.stack([d2 * inv_lap, -self.d1 * inv_lap])  # v = (d_s2, -d_s1) Lap^-1 b
+        self.grad = np.stack([self.d1, d2])
+        self.forcing = self.d1 * inv_lap
+        self.dealias = (np.abs(f1) < n1 / 3.0) & (f2 < 2 * n2 / 3.0)
+
+    def spectrum(self, f):
+        ext = np.zeros(f.shape[:-1] + (2 * self.n2,))
+        ext[..., : self.n2] = f
+        ext[..., self.n2 + 1 :] = -f[..., :0:-1]
+        return np.fft.rfft2(ext)
+
+    def grid(self, F):
+        return np.fft.irfft2(F, s=self.shape)
+
+    def advection(self, v1, v2, F):
+        fx, fy = self.grid(self.grad[:, None] * F)
+        return self.dealias * np.fft.rfft2(v1 * fx + v2 * fy)
+
+    def states(self, F):
+        return self.grid(F)[..., : self.n2].reshape(len(F), -1)
+
+
+def _oracle_fields(cfg, b0, tau0, n_samples):
+    o = _OddExtended(cfg.grid)
+
+    def rhs(U, t):
+        B, T = U
+        v1, v2 = o.grid(o.velocity[:, None] * B)
+        return np.stack([cfg.sigma * (o.lap * B + cfg.nu * o.d1 * T) - o.advection(v1, v2, B),
+                         o.lap * T + o.forcing * B - o.advection(v1, v2, T)])
+
+    return rb._integrate(cfg, o.spectrum(np.stack([b0, tau0])), rhs,
+                         lambda U, t: o.states(U.swapaxes(0, 1)), n_samples)
+
+
+def _oracle_linear(cfg, ic, tau0, n_samples):
+    o = _OddExtended(cfg.grid)
+    rate = taylor_decay_rate(cfg.sigma, ic.a_b)
+    b0 = analytic_buoyancy(cfg, ic, 0.0)
+    B0 = o.spectrum(b0)
+    v1, v2 = o.grid(o.velocity * B0)
+
+    def rhs(T, t):
+        return o.lap * T + np.exp(-rate * t) * (o.forcing * B0 - o.advection(v1, v2, T))
+
+    def sample(T, t):
+        tau = o.states(T)
+        return np.concatenate([np.broadcast_to(np.exp(-rate * t) * b0.ravel(), tau.shape), tau], axis=1)
+
+    return rb._integrate(cfg, o.spectrum(tau0), rhs, sample, n_samples)
 
 
 class TestInitCondition:
@@ -164,22 +245,9 @@ class TestStability:
 class TestBatch:
     """A stack of N fields is stepped as N independent single-field runs."""
 
-    def _fields(self, count):
-        rng = np.random.default_rng(4)
-        S1 = np.arange(16)[:, None] / 16
-        S2 = np.arange(32)[None, :] / 32
-        pairs = []
-        for j in range(count):
-            ic = InitCondition(a_b=TWO_PI * (1 + j % 2), a_tau=TWO_PI * (1 + j), kappa_b=0.1 + 0.1 * j,
-                               kappa_tau1=0.2, kappa_tau2=0.05 * j)
-            b, tau = split_state(lorenz_init(ic), (16, 32))
-            tau = tau + 0.02 * rng.random() * np.sin(TWO_PI * S1) * np.sin(3 * np.pi * S2)
-            pairs.append((b, tau))
-        return np.stack([b for b, _ in pairs]), np.stack([tau for _, tau in pairs])
-
     def test_simulate_fields_batch_equals_single_runs(self):
         cfg = RBConfig(nu=6000.0, sample_stride=20)
-        b0, tau0 = self._fields(3)
+        b0, tau0 = _stack(3)
         batch = simulate_fields(cfg, b0, tau0, 5)
         assert batch.shape == (5, 3, cfg.n)
         scale = np.max(np.abs(batch))
@@ -191,7 +259,7 @@ class TestBatch:
     def test_simulate_linear_fields_batch_equals_single_runs(self):
         cfg = RBConfig(sample_stride=20)
         ic = _degenerate_ic(sigma=cfg.sigma)
-        _, tau0 = self._fields(3)
+        _, tau0 = _stack(3)
         batch = simulate_linear_fields(cfg, ic, tau0, 5)
         assert batch.shape == (5, 3, cfg.n)
         scale = np.max(np.abs(batch))
@@ -201,8 +269,40 @@ class TestBatch:
             assert np.max(np.abs(batch[:, j] - single)) <= 1e-13 * scale
 
     def test_rejects_mismatched_fields(self):
-        b0, tau0 = self._fields(2)
+        b0, tau0 = _stack(2)
         with pytest.raises(InvalidInput):
             simulate_fields(RBConfig(), b0, tau0[0], 2)
         with pytest.raises(InvalidInput):
             simulate_fields(RBConfig(), b0[:, :, :16], tau0[:, :, :16], 2)
+
+
+class TestSineFourier:
+    """The sine-Fourier stepping against the odd-extended oracle, and the wall-column contract."""
+
+    def test_simulate_fields_matches_odd_extended_oracle(self):
+        cfg = RBConfig(nu=6000.0, sample_stride=20)
+        b0, tau0 = _stack(3)
+        got = simulate_fields(cfg, b0, tau0, 5)
+        want = _oracle_fields(cfg, b0, tau0, 5)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_simulate_linear_fields_matches_odd_extended_oracle(self):
+        cfg = RBConfig(sample_stride=20)
+        ic = _degenerate_ic(sigma=cfg.sigma)
+        _, tau0 = _stack(3)
+        got = simulate_linear_fields(cfg, ic, tau0, 5)
+        want = _oracle_linear(cfg, ic, tau0, 5)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_wall_column_is_projected_out(self):
+        cfg = RBConfig(nu=6000.0, sample_stride=20)
+        b0, tau0 = _stack(3)
+        rng = np.random.default_rng(7)
+        b_wall, tau_wall = b0.copy(), tau0.copy()
+        b_wall[..., 0] = rng.standard_normal((3, 16))
+        tau_wall[..., 0] = rng.standard_normal((3, 16))
+        ic = _degenerate_ic(sigma=cfg.sigma)
+        for clean, spiked in ((simulate_fields(cfg, b0, tau0, 4), simulate_fields(cfg, b_wall, tau_wall, 4)),
+                              (simulate_linear_fields(cfg, ic, tau0, 4), simulate_linear_fields(cfg, ic, tau_wall, 4))):
+            np.testing.assert_array_equal(spiked, clean)
+            assert not np.any(spiked.reshape(4, 3, 2, 16, 32)[..., 0])
