@@ -50,14 +50,14 @@ def _record(mul_adds: int, *result_shape: int) -> None:
         t._grew(*result_shape)
 
 
-def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` with (rows, inner, cols) recorded on active tallies."""
+def mm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` (written into ``out`` when given) with (rows, inner, cols) recorded on active tallies."""
     if _STACK:
         rows = a.shape[0]
         inner = a.shape[-1]
         cols = b.shape[1] if b.ndim == 2 else 1
         _record(rows * inner * cols, rows, cols)
-    return a @ b
+    return np.matmul(a, b, out=out)
 
 
 def scale(a: np.ndarray, s: np.ndarray) -> np.ndarray:

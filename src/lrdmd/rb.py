@@ -287,21 +287,14 @@ def simulate_rb(cfg: RBConfig, ic: InitCondition, n_samples: int) -> np.ndarray:
     return simulate_fields(cfg, b0, tau0, n_samples)
 
 
-def analytic_buoyancy(
-    cfg: RBConfig, ic: InitCondition, t_phys: float, extended: bool = False
-) -> np.ndarray:
+def analytic_buoyancy(cfg: RBConfig, ic: InitCondition, t_phys: float) -> np.ndarray:
     """Taylor-vortex buoyancy field at physical time ``t_phys``.
 
     Exact solution of the buoyancy equation for nu = 0: the initial mode
     decays at ``taylor_decay_rate`` (its nonlinear self-advection vanishes
     identically), so b(s, t) = kappa_b exp(-rate t) sin(a_b s1) sin(pi s2).
     """
-    n1, n2 = cfg.grid
-    if extended:  # the period-2 odd extension of the cell along s2: s2 = j / n2, j < 2 n2
-        S1, S2 = cell_mesh((n1, 2 * n2))
-        S2 = 2.0 * S2
-    else:
-        S1, S2 = cell_mesh(cfg.grid)
+    S1, S2 = cell_mesh(cfg.grid)
     rate = taylor_decay_rate(cfg.sigma, ic.a_b)
     return ic.kappa_b * np.exp(-rate * t_phys) * np.sin(ic.a_b * S1) * np.sin(np.pi * S2)
 

@@ -231,16 +231,19 @@ def fit_optimal(data: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> LowRa
 
 
 def fit_truncated(data: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> LowRankFit:
-    """SVD truncations of ``Y X^+ = U_Y W`` for every k: ``P_k = U_Y U_W[:, :k]``, ``Q_k = V_W[:, :k] diag(s_W[:k])``."""
+    """SVD truncations of ``Y X^+ = U_Y W U_r^T`` for every k: ``P_k = U_Y U_W[:, :k]``, ``Q_k = U_r V_W[:, :k] diag(s_W[:k])``."""
     if not (np.any(data.X) and np.any(data.Y)):
         empty = np.zeros((data.n, 0))
         return LowRankFit(data.m, 0, empty, None, empty, None, flags=("degenerate_x",))
     svd_y, svd_x = thin_svd(data.Y), thin_svd(data.X)
     r = numerical_rank(svd_x, rank_tol)
-    # W = S_Y V_Y^T X^+ = (S_Y V_Y^T V_r) S_r^{-1} U_r^T, never forming X^+.
+    # S_Y V_Y^T X^+ = W U_r^T with the r-column W = (S_Y V_Y^T V_r) S_r^{-1}, never forming X^+.
+    # U_r is orthonormal, so W = U_W S_W V_W^T gives W U_r^T = U_W S_W (U_r V_W)^T.
     W = audit.scale(audit.mm(svd_y.S[:, None] * svd_y.right.T, svd_x.right[:, :r]), 1.0 / svd_x.S[:r])
-    svd_w = thin_svd(audit.mm(W, svd_x.left[:, :r].T))
-    return LowRankFit(data.m, numerical_rank(svd_w, rank_tol), svd_y.left, svd_w.left, svd_w.right * svd_w.S, None)
+    svd_w = thin_svd(W)
+    return LowRankFit(
+        data.m, numerical_rank(svd_w, rank_tol), svd_y.left, svd_w.left, svd_x.left[:, :r], svd_w.right * svd_w.S
+    )
 
 
 @dataclass(frozen=True)

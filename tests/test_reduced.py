@@ -1,5 +1,6 @@
 """Reduced and spectral models: equivalence, eigen residuals, costs."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,57 @@ from lrdmd import (
 from lrdmd import audit
 
 from conftest import dense, match_multisets
+
+
+def _loop_operator(op, theta, T):
+    """Step-by-step reference: x_1 = theta, x_t = P (Q^T x_{t-1})."""
+    out = np.empty((T, op.n))
+    out[0] = theta
+    for t in range(1, T):
+        out[t] = op.P @ (op.Q.T @ out[t - 1])
+    return out
+
+
+def _loop_reduced(model, theta, T):
+    """Step-by-step reference: x_1 = theta, x_t = R z_{t-1}, z_t = S z_{t-1}, z_1 = L^T theta."""
+    out = np.empty((T, model.n))
+    out[0] = theta
+    z = model.L.T @ theta
+    for t in range(1, T):
+        out[t] = model.R @ z
+        z = model.S @ z
+    return out
+
+
+def _loop_spectral(model, theta, T):
+    """Step-by-step reference: x_t = Re(zeta c_t), c_t = lambda^{t-1} xi^T theta; also the imaginary residue."""
+    out = np.empty((T, model.n))
+    coeff = model.left_vecs.T @ theta.astype(complex)
+    residue = 0.0
+    for t in range(T):
+        x = model.right_vecs @ coeff
+        nrm = np.linalg.norm(x)
+        if nrm > 0:
+            residue = max(residue, np.linalg.norm(x.imag) / nrm)
+        out[t] = x.real
+        coeff = coeff * model.eigvals
+    return out, residue
+
+
+def _decaying_operator(seed, n=60, gain=1.0):
+    """A = P Q^T with orthonormal P and Q^T P of eigenvalues |lambda| ~ gain * 1e-2, two conjugate pairs among them."""
+    rng = np.random.default_rng(seed)
+    blocks = [(0.012, 0.7), (0.004, 2.0)]
+    M = np.zeros((6, 6))
+    for i, (rho, phi) in enumerate(blocks):
+        M[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = rho * np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+    M[4, 4], M[5, 5] = 0.009, -0.011
+    V = rng.standard_normal((6, 6))
+    M = gain * (V @ M @ np.linalg.inv(V))
+    P, _ = np.linalg.qr(rng.standard_normal((n, 6)))
+    N = rng.standard_normal((n, 6))
+    N -= P @ (P.T @ N)  # Q^T P = M whatever the part of Q orthogonal to P
+    return FactoredOperator(P=P, Q=P @ M.T + N), rng
 
 
 def _random_optimal(seed, n=25, m=10, k=4):
@@ -250,6 +302,88 @@ class TestSpectralModel:
             warnings.simplefilter("ignore", DiagonalisabilityWarning)
             with pytest.raises(lrdmd.PairingFailure):
                 build_spectral_model(FactoredOperator(P=P, Q=Q))
+
+    def test_real_eigenvalues_have_real_vectors(self):
+        # the model file stores exact zeros for them, not inverse roundoff
+        for seed in (8, 16):
+            op, _, _ = _random_optimal(seed, n=30, m=12, k=6)
+            model = build_spectral_model(op)
+            real = model.eigvals.imag == 0
+            assert 0 < np.sum(real) < model.r
+            assert not np.any(model.right_vecs[:, real].imag) and not np.any(model.left_vecs[:, real].imag)
+
+    def test_repeated_eigenvalues_match_factored(self):
+        # Y = c X makes every eigenvalue of Q^T P equal to c: pairing left and right
+        # vectors from two eigensolves is then arbitrary inside the repeated eigenspace
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((40, 12))
+        theta = rng.standard_normal(40)
+        for c in (1.0, 2.0, 0.9):
+            op = optimal_lowrank(SnapshotPair(X=X, Y=c * X), 5)
+            model = build_spectral_model(op)
+            a = simulate_operator(op, theta, 11).states
+            b = simulate_spectral(model, theta, 11).states
+            scale = np.abs(a[1:]).max()
+            assert np.max(np.abs(a[1:] - b[1:])) <= 1e-10 * scale
+
+
+class TestWholeHorizon:
+    """The latent path plus blocked lift against the step-by-step loops, across the subnormal range."""
+
+    T = 300  # at gain 1, |lambda|^t reaches the subnormal range near t = 160
+    CASES = ((0, 1.0), (1, 1.0), (2, 80.0))  # (seed, gain): gain 80 keeps every lift block above 1e-6
+
+    def test_factored_and_reduced_match_loops(self):
+        for seed, gain in self.CASES:
+            op, rng = _decaying_operator(seed, gain=gain)
+            theta = rng.standard_normal(op.n)
+            for got, ref in (
+                (simulate_operator(op, theta, self.T).states, _loop_operator(op, theta, self.T)),
+                (
+                    simulate_reduced(build_svd_reduced_model(op), theta, self.T).states,
+                    _loop_reduced(build_svd_reduced_model(op), theta, self.T),
+                ),
+            ):
+                np.testing.assert_array_equal(got[0], theta)
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.abs(ref).max()
+                assert (np.abs(ref[-1]).max() < np.finfo(float).tiny) == (gain == 1.0)
+
+    def test_spectral_matches_loop(self):
+        for seed, gain in self.CASES:
+            op, rng = _decaying_operator(seed, gain=gain)
+            model = build_spectral_model(op)
+            assert np.sum(np.abs(model.eigvals.imag) > 0) == 4
+            theta = rng.standard_normal(op.n)
+            traj = simulate_spectral(model, theta, self.T)
+            ref, ref_residue = _loop_spectral(model, theta, self.T)
+            assert np.max(np.abs(traj.states - ref)) <= 1e-12 * np.abs(ref).max()
+            assert traj.max_imag_residue <= 1e-8 and ref_residue <= 1e-8
+
+    def test_residue_measures_imaginary_part(self):
+        # a lone complex mode has no conjugate partner: Im x_t is as large as Re x_t
+        op, rng = _decaying_operator(2)
+        model = build_spectral_model(op)
+        lone = lrdmd.SpectralModel(model.eigvals[:1], model.right_vecs[:, :1], model.left_vecs[:, :1])
+        theta = rng.standard_normal(op.n)
+        traj = simulate_spectral(lone, theta, 40)
+        ref, ref_residue = _loop_spectral(lone, theta, 40)
+        assert traj.max_imag_residue > 0.1
+        assert traj.max_imag_residue == pytest.approx(ref_residue, rel=1e-10)
+        assert np.max(np.abs(traj.states - ref)) <= 1e-12 * np.abs(ref).max()
+
+    def test_peak_memory_is_the_trajectory(self):
+        # no n-sized temporary per lift block: the peak is the output plus O(nr) factors
+        op, rng = _decaying_operator(4, n=4000)
+        reduced, spectral = build_svd_reduced_model(op), build_spectral_model(op)
+        theta = rng.standard_normal(op.n)
+        for simulate, model in ((simulate_operator, op), (simulate_reduced, reduced), (simulate_spectral, spectral)):
+            tracemalloc.start()
+            try:
+                traj = simulate(model, theta, self.T)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= traj.states.nbytes + 4 * op.n * model.r * 16, simulate.__name__
 
 
 class TestSimulateSpectral:
