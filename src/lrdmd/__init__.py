@@ -23,14 +23,12 @@ from .linalg import (
     eig_nonsymmetric,
     numerical_rank,
     pinv,
-    row_space_projector,
     thin_svd,
 )
 from .solver import (
     ErrorReport,
     FactoredOperator,
     SnapshotPair,
-    compute_Z,
     error_report,
     first_order_residual,
     fit_optimal,

@@ -27,7 +27,7 @@ from .rb import (
     simulate_fields,
     simulate_linear_fields,
 )
-from .reduced import SpectralModel
+from .reduced import SpectralModel, simulate_spectral
 from .solver import SnapshotPair, error_report, fit_optimal, fit_projected, fit_truncated, optimal_lowrank
 
 RNG_NAME = "numpy-pcg64/standard_normal"
@@ -208,7 +208,9 @@ def gen_spectral_truth(base: SpectralModel, N: int, T: int, seed: int) -> Snapsh
     triples and never materialised.  Initial conditions are real random
     combinations of the generating eigenvectors (normalised per mode so all
     three modes carry comparable energy) plus a small generic component, so
-    every eigendirection is identifiable from the data.
+    every eigendirection is identifiable from the data.  Each trajectory is
+    the spectral recursion from theta, whose first state is theta itself,
+    not its projection onto the modes.
     """
     if base.r != 3:
         raise InvalidInput(f"rank-3 spectral model expected, got r={base.r}")
@@ -224,11 +226,8 @@ def gen_spectral_truth(base: SpectralModel, N: int, T: int, seed: int) -> Snapsh
     for _ in range(N):
         theta = z_re @ rng.standard_normal(3) + z_im @ rng.standard_normal(3)
         theta = theta + 0.02 * rng.standard_normal(n) / np.sqrt(n)
-        states = np.empty((T, n))
+        states = simulate_spectral(base, theta, T).states
         states[0] = theta
-        for t in range(1, T):
-            coeff = base.eigvals * (base.left_vecs.T @ states[t - 1].astype(complex))
-            states[t] = (base.right_vecs @ coeff).real
         trajectories.append(states)
     return SnapshotPair.from_trajectories(trajectories)
 
@@ -271,18 +270,11 @@ def add_noise_psnr(data: SnapshotPair, psnr_db: float, seed: int) -> SnapshotPai
     if peak == 0.0:
         raise InvalidInput("cannot set a PSNR against all-zero data")
     sigma = peak / (10.0 ** (psnr_db / 20.0))
-    rng = _rng(seed)
     N, T = data.n_traj, data.traj_len
-    steps = T - 1
-    X = data.X.copy()
-    Y = data.Y.copy()
-    for i in range(N):
-        for t in range(T):
-            noise = sigma * rng.standard_normal(data.n)
-            if t < steps:
-                X[:, i * steps + t] += noise
-            if t >= 1:
-                Y[:, i * steps + t - 1] += noise
+    # One draw per snapshot in (trajectory, time) order; snapshot t feeds X at t < T-1 and Y at t >= 1.
+    noise = sigma * _rng(seed).standard_normal((N, T, data.n))
+    X = data.X + noise[:, :-1].reshape(-1, data.n).T
+    Y = data.Y + noise[:, 1:].reshape(-1, data.n).T
     return SnapshotPair(X=X, Y=Y, n_traj=N, traj_len=T)
 
 

@@ -276,7 +276,7 @@ def cmd_verify(args) -> int:
     res1 = first_order_residual(op, data)
     checks.append(("first-order-residual", res1 <= 1e-8, f"residual={res1:.3e} tol=1e-08"))
 
-    rank_x = fit.q_basis.shape[1]  # the optimal fit's q_basis is U_r, X's left singular vectors
+    rank_x = numerical_rank(data.svd_x, args.rank_tol)
     rank_y = numerical_rank(thin_svd(data.Y), args.rank_tol) if np.any(data.Y) else 0
     bound = min(k, rank_x, rank_y)
     checks.append(("rank-bound", op.r <= bound, f"effective_rank={op.r} bound={bound}"))
@@ -320,14 +320,12 @@ def cmd_verify(args) -> int:
 
 
 def _eigen_residuals(op: FactoredOperator, spectral: SpectralModel) -> tuple[float, float]:
-    worst_res = 0.0
-    worst_ray = 0.0
-    for lam, zeta, xi in zip(spectral.eigvals, spectral.right_vecs.T, spectral.left_vecs.T):
-        az = op.P.astype(complex) @ (op.Q.T.astype(complex) @ zeta)
-        worst_res = max(worst_res, float(np.linalg.norm(az - lam * zeta)))
-        ray = complex(np.sum(xi * az))
-        worst_ray = max(worst_ray, abs(ray - lam) / max(1.0, abs(lam)))
-    return worst_res, worst_ray
+    """Worst ``||A zeta - lam zeta||`` and ``|xi^T A zeta - lam| / max(1, |lam|)`` over all eigentriples."""
+    lam, zeta = spectral.eigvals, spectral.right_vecs
+    AZ = op.P @ (op.Q.T @ zeta)
+    res = np.linalg.norm(AZ - zeta * lam, axis=0)
+    ray = np.abs(np.sum(spectral.left_vecs * AZ, axis=0) - lam) / np.maximum(1.0, np.abs(lam))
+    return float(np.max(res, initial=0.0)), float(np.max(ray, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

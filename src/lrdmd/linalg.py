@@ -1,10 +1,10 @@
 """Dense linear-algebra primitives with explicit rank and sign conventions.
 
 Everything downstream (solvers, reduced models, benchmarks) is built on the
-four operations here: thin SVD, pseudo-inverse, row-space projector and a
-small dense nonsymmetric eigensolver.  LAPACK (via numpy) does the heavy
-lifting; this module pins down the conventions LAPACK leaves open so that
-outputs are reproducible run to run:
+three operations here: thin SVD, pseudo-inverse and a small dense
+nonsymmetric eigensolver.  LAPACK (via numpy) does the heavy lifting; this
+module pins down the conventions LAPACK leaves open so that outputs are
+reproducible run to run:
 
 * singular values descending, singular-vector columns sign-fixed so the
   largest-magnitude entry (lowest index on ties) is non-negative;
@@ -115,16 +115,6 @@ def pinv(svd: ThinSVD, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """
     inv = _recip_singular(svd, rel_tol)
     return (svd.right * inv) @ svd.left.T
-
-
-def row_space_projector(svd_of_X: ThinSVD, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthogonal projector onto the span of the rows of X (an m-by-m matrix)."""
-    r = numerical_rank(svd_of_X, rel_tol)
-    Vr = svd_of_X.right[:, :r]
-    m = svd_of_X.right.shape[0]
-    if r == 0:
-        return np.zeros((m, m))
-    return Vr @ Vr.T
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,14 @@ then read off the fit as a column prefix:
   ``P_k = U[:, :k]``, ``Q_k = U_r S_r^{-1} W[:, :k] diag(s[:k])`` and
   squared error ``sum(s[k:]^2) + ||Y - C V_r^T||_F^2``,
 * the two sub-optimal baselines it is benchmarked against: SVD truncation
-  of the unconstrained solution, and projected DMD (companion-matrix
-  assumption),
+  of the unconstrained solution ``Y X^+ = (Y V_r S_r^{-1}) U_r^T``, the same
+  computation on C rescaled by ``S_r^{-1}``, and projected DMD
+  (companion-matrix assumption),
 * the first-order optimality residual used as an independent check.
+
+All three methods start from the row space of X.  A ``SnapshotPair``
+factors X once, on first use, and every fit of that pair (and so every
+single-k view and sweep) reads that one SVD.
 
 All operators are returned in factored form ``A = P Q^T`` with
 ``P, Q in R^{n x r}``; nothing here ever materialises an n-by-n array.
@@ -21,6 +26,7 @@ All operators are returned in factored form ``A = P Q^T`` with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +37,6 @@ from .linalg import (
     ThinSVD,
     _recip_singular,
     numerical_rank,
-    row_space_projector,
     thin_svd,
 )
 
@@ -45,6 +50,11 @@ class SnapshotPair:
     (m = n_traj * (traj_len - 1)); they are optional for bare matrix pairs
     but required by the noise model, which must corrupt a snapshot shared
     between X and Y consistently.
+
+    A pair does not copy its arrays: X and Y are read-only views of the
+    arrays passed in (float input is not converted), so the caller must not
+    change those arrays after construction.  ``svd_x``, the thin SVD of X,
+    is computed on first use and read by every fit of the pair.
     """
 
     X: np.ndarray
@@ -64,8 +74,15 @@ class SnapshotPair:
                 raise InvalidInput(
                     f"m={X.shape[1]} inconsistent with {self.n_traj} trajectories of length {self.traj_len}"
                 )
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
+        for name, M in (("X", X), ("Y", Y)):
+            view = M.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    @cached_property
+    def svd_x(self) -> ThinSVD:
+        """Thin SVD of X, shared by every fit of this pair."""
+        return thin_svd(self.X)
 
     @property
     def n(self) -> int:
@@ -155,22 +172,9 @@ class ErrorReport:
     closed_form_gap: float | None = None
 
 
-def compute_Z(data: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """``Z = Y @ (row-space projector of X)``; same shape as Y."""
-    if not np.any(data.X):
-        return np.zeros_like(data.Y)
-    proj = row_space_projector(thin_svd(data.X), rank_tol)
-    return audit.mm(data.Y, proj)
-
-
 def _check_k(k: int, m: int) -> None:
     if not (1 <= k <= m):
         raise InvalidRank(f"k must satisfy 1 <= k <= m={m}, got {k}")
-
-
-def _prefix(basis: np.ndarray, mix: np.ndarray | None, keep: int) -> np.ndarray:
-    """First ``keep`` columns of ``basis @ mix`` (of ``basis`` when mix is None) as a new array."""
-    return basis[:, :keep].copy() if mix is None else audit.mm(basis, mix[:, :keep])
 
 
 @dataclass(frozen=True)
@@ -178,17 +182,16 @@ class LowRankFit:
     """One method fitted to one snapshot pair, answering every rank k at once.
 
     The rank-k operator is the first ``min(k, rank)`` columns of
-    ``P = p_basis @ p_mix`` and ``Q = q_basis @ q_mix`` (no mix: identity),
-    built per k so that it owns them alone; a slice view would pin the whole
-    n-by-rank factor.  ``s``, ``leak_sq``: the optimal method's closed form.
+    ``P = p_basis`` and ``Q = q_basis @ q_mix``, built per k so that it owns
+    them alone; a slice view would pin the whole n-by-rank factor.  ``s``,
+    ``leak_sq``: the optimal method's closed form.
     """
 
     m: int
     rank: int
     p_basis: np.ndarray
-    p_mix: np.ndarray | None
     q_basis: np.ndarray
-    q_mix: np.ndarray | None
+    q_mix: np.ndarray
     flags: tuple[str, ...] = ()
     s: np.ndarray | None = None
     leak_sq: float | None = None
@@ -198,8 +201,8 @@ class LowRankFit:
         _check_k(k, self.m)
         keep = min(k, self.rank)
         flags = self.flags or (("rank_deficient",) if keep < k else ())
-        P = _prefix(self.p_basis, self.p_mix, keep)
-        return FactoredOperator(P=P, Q=_prefix(self.q_basis, self.q_mix, keep), flags=flags)
+        P = self.p_basis[:, :keep].copy()
+        return FactoredOperator(P=P, Q=audit.mm(self.q_basis, self.q_mix[:, :keep]), flags=flags)
 
     def error_sq(self, k: int) -> float:
         """Closed-form squared error ``sum(s[k:]^2) + leak_sq`` (optimal fits only)."""
@@ -214,7 +217,7 @@ def fit_optimal(data: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> LowRa
     values of C above ``rank_tol * ||Y||_F``: measured against C's own largest
     one, pure roundoff (Y's rows orthogonal to the row space of X) would count.
     """
-    svd_x = thin_svd(data.X)
+    svd_x = data.svd_x
     r = numerical_rank(svd_x, rank_tol)
     Vr = svd_x.right[:, :r]
     C = audit.mm(data.Y, Vr)
@@ -224,26 +227,23 @@ def fit_optimal(data: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> LowRa
     np.subtract(data.Y, leak, out=leak)
     Q_mix = svd_c.right * svd_c.S / svd_x.S[:r, None]
     rank = int(np.count_nonzero(svd_c.S > rank_tol * np.linalg.norm(data.Y)))
-    return LowRankFit(
-        data.m, rank, svd_c.left, None, svd_x.left[:, :r], Q_mix,
-        s=svd_c.S, leak_sq=float(np.vdot(leak, leak)),
-    )
+    return LowRankFit(data.m, rank, svd_c.left, svd_x.left[:, :r], Q_mix, s=svd_c.S, leak_sq=float(np.vdot(leak, leak)))
 
 
 def fit_truncated(data: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> LowRankFit:
-    """SVD truncations of ``Y X^+ = U_Y W U_r^T`` for every k: ``P_k = U_Y U_W[:, :k]``, ``Q_k = U_r V_W[:, :k] diag(s_W[:k])``."""
+    """SVD truncations of ``Y X^+`` for every k: ``fit_optimal``'s route on ``D = Y V_r S_r^{-1}``.
+
+    ``Y X^+ = D U_r^T`` and U_r is orthonormal, so the thin SVD
+    ``D = U_D S_D V_D^T`` gives ``P_k = U_D[:, :k]`` and
+    ``Q_k = U_r V_D[:, :k] diag(S_D[:k])``; Y itself is never factored.
+    """
     if not (np.any(data.X) and np.any(data.Y)):
         empty = np.zeros((data.n, 0))
-        return LowRankFit(data.m, 0, empty, None, empty, None, flags=("degenerate_x",))
-    svd_y, svd_x = thin_svd(data.Y), thin_svd(data.X)
+        return LowRankFit(data.m, 0, empty, empty, np.zeros((0, 0)), flags=("degenerate_x",))
+    svd_x = data.svd_x
     r = numerical_rank(svd_x, rank_tol)
-    # S_Y V_Y^T X^+ = W U_r^T with the r-column W = (S_Y V_Y^T V_r) S_r^{-1}, never forming X^+.
-    # U_r is orthonormal, so W = U_W S_W V_W^T gives W U_r^T = U_W S_W (U_r V_W)^T.
-    W = audit.scale(audit.mm(svd_y.S[:, None] * svd_y.right.T, svd_x.right[:, :r]), 1.0 / svd_x.S[:r])
-    svd_w = thin_svd(W)
-    return LowRankFit(
-        data.m, numerical_rank(svd_w, rank_tol), svd_y.left, svd_w.left, svd_x.left[:, :r], svd_w.right * svd_w.S
-    )
+    svd_d = thin_svd(audit.scale(audit.mm(data.Y, svd_x.right[:, :r]), 1.0 / svd_x.S[:r]))
+    return LowRankFit(data.m, numerical_rank(svd_d, rank_tol), svd_d.left, svd_x.left[:, :r], svd_d.right * svd_d.S)
 
 
 @dataclass(frozen=True)
@@ -273,7 +273,7 @@ def fit_projected(data: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> Pro
     if not np.any(data.X):
         no_b = ThinSVD(U=np.zeros((0, 0)), S=np.zeros(0), V=np.zeros((0, 0)))
         return ProjectedFit(data.m, np.zeros((data.n, 0)), np.zeros(0), no_b, ("degenerate_x", "rank_deficient_x"))
-    svd_x = thin_svd(data.X)
+    svd_x = data.svd_x
     flags = ("rank_deficient_x",) if numerical_rank(svd_x, rank_tol) < min(data.n, data.m) else ()
     B = audit.mm(audit.mm(svd_x.left.T, data.Y), svd_x.right)
     return ProjectedFit(data.m, svd_x.left, _recip_singular(svd_x, rank_tol), thin_svd(B), flags)

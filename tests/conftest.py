@@ -2,19 +2,32 @@
 
 Datasets that are expensive to generate (the convection runs) are built once
 per session.  Dense materialisation of factored operators is test-only and
-guarded to small n.
+guarded to small n, and so are the m-by-m row-space projector and
+``Z = Y P_rows(X)``, which the solver never forms.
 """
 
 import numpy as np
 import pytest
 
 import lrdmd
+from lrdmd.linalg import DEFAULT_RANK_TOL, numerical_rank, thin_svd
 
 
 def dense(op: lrdmd.FactoredOperator) -> np.ndarray:
     """Materialise P Q^T for oracle checks; never used at production scale."""
     assert op.n <= 200, "dense materialisation is a test-only path for small n"
     return op.P @ op.Q.T
+
+
+def row_space_projector(svd_of_X: lrdmd.ThinSVD, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Orthogonal projector onto the span of the rows of X (an m-by-m matrix)."""
+    Vr = svd_of_X.right[:, : numerical_rank(svd_of_X, rel_tol)]
+    return Vr @ Vr.T
+
+
+def compute_Z(data: lrdmd.SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """``Z = Y @ (row-space projector of X)``; same shape as Y."""
+    return data.Y @ row_space_projector(thin_svd(data.X), rank_tol)
 
 
 def rel_close(a: float, b: float, rtol: float, floor: float = 0.0) -> bool:

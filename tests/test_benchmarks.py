@@ -23,6 +23,41 @@ from lrdmd.rb import InitCondition, degenerate_kappa_b, simulate_fields, simulat
 from conftest import rel_close
 
 
+def _loop_spectral_truth(base, N: int, T: int, seed: int) -> SnapshotPair:
+    """Oracle: the spectral ground truth stepped state by state, ``x_t = Re(zeta Lambda xi^T x_{t-1})``."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    col_scale = np.linalg.norm(base.right_vecs, axis=0)
+    z_re, z_im = base.right_vecs.real / col_scale, base.right_vecs.imag / col_scale
+    trajectories = []
+    for _ in range(N):
+        theta = z_re @ rng.standard_normal(3) + z_im @ rng.standard_normal(3)
+        theta = theta + 0.02 * rng.standard_normal(base.n) / np.sqrt(base.n)
+        states = np.empty((T, base.n))
+        states[0] = theta
+        for t in range(1, T):
+            coeff = base.eigvals * (base.left_vecs.T @ states[t - 1].astype(complex))
+            states[t] = (base.right_vecs @ coeff).real
+        trajectories.append(states)
+    return SnapshotPair.from_trajectories(trajectories)
+
+
+def _loop_noise(data: SnapshotPair, psnr_db: float, seed: int) -> SnapshotPair:
+    """Oracle: one noise draw per snapshot, trajectory by trajectory, added column by column."""
+    peak = max(float(np.max(np.abs(data.X))), float(np.max(np.abs(data.Y))))
+    sigma = peak / (10.0 ** (psnr_db / 20.0))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    steps = data.traj_len - 1
+    X, Y = data.X.copy(), data.Y.copy()
+    for i in range(data.n_traj):
+        for t in range(data.traj_len):
+            noise = sigma * rng.standard_normal(data.n)
+            if t < steps:
+                X[:, i * steps + t] += noise
+            if t >= 1:
+                Y[:, i * steps + t - 1] += noise
+    return SnapshotPair(X=X, Y=Y, n_traj=data.n_traj, traj_len=data.traj_len)
+
+
 class TestGenToy:
     def test_determinism(self):
         cfg = ToyConfig(setting="iii", seed=21)
@@ -166,6 +201,15 @@ class TestSpectralTruth:
         for lam in base.eigvals:
             assert np.min(np.abs(model.eigvals - lam)) <= 1e-7 * max(1.0, abs(lam))
 
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_matches_step_by_step_oracle(self, spectral_datasets, seed):
+        base = spectral_datasets["base"]
+        got, want = gen_spectral_truth(base, N=5, T=11, seed=seed), _loop_spectral_truth(base, 5, 11, seed)
+        scale = float(np.max(np.abs(want.X)))
+        assert np.max(np.abs(got.X - want.X)) <= 1e-13 * scale
+        assert np.max(np.abs(got.Y - want.Y)) <= 1e-13 * scale
+        np.testing.assert_array_equal(got.X[:, :: 10], want.X[:, :: 10])  # each trajectory starts at theta itself
+
     def test_requires_rank3_base(self, spectral_datasets):
         base = spectral_datasets["base"]
         bad = lrdmd.SpectralModel(
@@ -214,6 +258,15 @@ class TestNoise:
                 xi = i * steps + t + 1
                 yi = i * steps + t
                 np.testing.assert_array_equal(out.X[:, xi], out.Y[:, yi])
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_bitwise_equal_to_per_snapshot_loop(self, seed):
+        for n_traj, length in ((3, 6), (1, 2), (4, 3)):
+            rng = np.random.default_rng(seed)
+            data = SnapshotPair.from_trajectories([rng.standard_normal((length, 5)) for _ in range(n_traj)])
+            got, want = add_noise_psnr(data, 15.0, seed), _loop_noise(data, 15.0, seed)
+            assert got.X.tobytes() == want.X.tobytes()
+            assert got.Y.tobytes() == want.Y.tobytes()
 
     def test_zero_data_rejected(self):
         data = SnapshotPair(X=np.zeros((3, 4)), Y=np.zeros((3, 4)), n_traj=2, traj_len=3)

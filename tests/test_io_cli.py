@@ -392,3 +392,27 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     code = "import sys, lrdmd.cli; sys.exit('scipy.optimize' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(lrdmd.__file__).parents[1])}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_eigen_residuals_match_per_eigenpair_loop():
+    from lrdmd.cli import _eigen_residuals
+
+    def loop(op, spectral):
+        worst_res = worst_ray = 0.0
+        for lam, zeta, xi in zip(spectral.eigvals, spectral.right_vecs.T, spectral.left_vecs.T):
+            az = op.P.astype(complex) @ (op.Q.T.astype(complex) @ zeta)
+            worst_res = max(worst_res, float(np.linalg.norm(az - lam * zeta)))
+            worst_ray = max(worst_ray, abs(complex(np.sum(xi * az)) - lam) / max(1.0, abs(lam)))
+        return worst_res, worst_ray
+
+    rng = np.random.default_rng(21)
+    data = lrdmd.SnapshotPair(X=rng.standard_normal((30, 12)), Y=rng.standard_normal((30, 12)))
+    op = lrdmd.optimal_lowrank(data, 6)
+    spectral = lrdmd.build_spectral_model(op)
+    assert np.max(np.abs(spectral.eigvals.imag)) > 0  # conjugate pairs as well as real eigenvalues
+    # A perturbed model, so that both residuals are far from roundoff.
+    off = lrdmd.SpectralModel(spectral.eigvals * 1.01, spectral.right_vecs, spectral.left_vecs * 0.99)
+    for model in (spectral, off):
+        np.testing.assert_allclose(_eigen_residuals(op, model), loop(op, model), rtol=1e-9, atol=1e-14)
+    empty = lrdmd.build_spectral_model(lrdmd.FactoredOperator(P=np.zeros((30, 0)), Q=np.zeros((30, 0))))
+    assert _eigen_residuals(op, empty) == (0.0, 0.0)

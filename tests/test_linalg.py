@@ -9,9 +9,10 @@ from lrdmd import (
     eig_nonsymmetric,
     numerical_rank,
     pinv,
-    row_space_projector,
     thin_svd,
 )
+
+from conftest import row_space_projector
 
 
 class TestThinSVD:

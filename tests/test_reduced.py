@@ -456,6 +456,18 @@ class TestSimulateSpectral:
         assert costs[400] / costs[200] == pytest.approx(2.0, rel=0.2)
 
 
+def test_audit_counts_real_multiply_adds():
+    # Each complex operand doubles a product's count, so complex and real paths compare.
+    a, z = np.ones((3, 4)), np.ones((4, 2), dtype=complex)
+    with audit.tally() as t:
+        audit.mm(a, a.T)
+        audit.mm(a, z)
+        audit.mm(z.T, z)
+        audit.scale(z, z)
+        audit.scale(a, 2.0)
+    assert t.multiply_adds == 3 * 4 * 3 + 2 * (3 * 4 * 2) + 4 * (2 * 4 * 2) + 4 * 8 + 12
+
+
 class TestApplyOperator:
     def test_zero_and_identity(self):
         op, _, _ = _random_optimal(18)

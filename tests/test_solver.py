@@ -8,18 +8,18 @@ from lrdmd import (
     InvalidInput,
     InvalidRank,
     SnapshotPair,
-    compute_Z,
     error_report,
     first_order_residual,
+    fit_truncated,
     optimal_error_closed_form,
     optimal_lowrank,
     projected_dmd_baseline,
     truncated_baseline,
     unconstrained_solution,
 )
-from lrdmd.linalg import row_space_projector, thin_svd
+from lrdmd.linalg import thin_svd
 
-from conftest import dense, random_instance
+from conftest import compute_Z, dense, random_instance, row_space_projector
 
 
 class TestSnapshotPair:
@@ -76,6 +76,63 @@ class TestUnconstrained:
         op = unconstrained_solution(data)
         assert "degenerate_x" in op.flags
         np.testing.assert_allclose(dense(op), np.zeros((4, 4)), atol=1e-15)
+
+
+class TestOneFactorisationOfX:
+    @staticmethod
+    def _count_svds(monkeypatch, data: SnapshotPair) -> dict[str, int]:
+        """Tally the solver's thin SVDs taken of ``data.X`` and of ``data.Y``."""
+        seen = {"X": 0, "Y": 0}
+        svd = lrdmd.solver.thin_svd
+
+        def counting(M):
+            seen["X"] += M is data.X
+            seen["Y"] += M is data.Y
+            return svd(M)
+
+        monkeypatch.setattr(lrdmd.solver, "thin_svd", counting)
+        return seen
+
+    def test_x_factored_once_per_pair(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        data = SnapshotPair(X=rng.standard_normal((30, 12)), Y=rng.standard_normal((30, 12)))
+        seen = self._count_svds(monkeypatch, data)
+        optimal_lowrank(data, 3)
+        optimal_error_closed_form(data, 3)
+        truncated_baseline(data, 3)
+        projected_dmd_baseline(data, 3)
+        lrdmd.error_sweep(data, range(1, 13))
+        assert seen["X"] == 1
+
+    @pytest.mark.parametrize("shape", [(30, 12), (8, 20)])
+    def test_truncated_never_factors_y(self, monkeypatch, shape):
+        rng = np.random.default_rng(32)
+        data = SnapshotPair(X=rng.standard_normal(shape), Y=rng.standard_normal(shape))
+        seen = self._count_svds(monkeypatch, data)
+        fit_truncated(data)
+        assert seen["Y"] == 0
+
+    @pytest.mark.parametrize("n, m, rho", [(20, 8, 8), (20, 8, 3), (6, 15, 6), (6, 15, 2)])
+    def test_truncation_matches_dense_svd_of_y_pinv_x(self, n, m, rho):
+        # Tall and wide X, full and deficient rank, against the dense SVD of Y X^+.
+        rng = np.random.default_rng(33 + rho)
+        X = rng.standard_normal((n, rho)) @ rng.standard_normal((rho, m))
+        data = SnapshotPair(X=X, Y=rng.standard_normal((n, m)))
+        U, s, Vt = np.linalg.svd(data.Y @ np.linalg.pinv(data.X, rcond=1e-12))
+        for k in range(1, rho + 1):
+            oracle = (U[:, :k] * s[:k]) @ Vt[:k]
+            np.testing.assert_allclose(dense(truncated_baseline(data, k)), oracle, atol=1e-9 * s[0])
+
+    def test_arrays_are_read_only_views_of_the_callers(self):
+        rng = np.random.default_rng(34)
+        X, Y = rng.standard_normal((7, 4)), rng.standard_normal((7, 4))
+        data = SnapshotPair(X=X, Y=Y)
+        for mine, theirs in ((data.X, X), (data.Y, Y)):
+            assert np.shares_memory(mine, theirs)
+            with pytest.raises(ValueError):
+                mine[0, 0] = 1.0
+        X[0, 0] = Y[0, 0] = 1.0  # the caller's arrays stay writable
+        assert data.X[0, 0] == data.Y[0, 0] == 1.0
 
 
 class TestComputeZ:
