@@ -11,7 +11,7 @@ wrappers are plain ``@`` calls.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class OpTally:
 
     multiply_adds: int = 0
     max_elements: int = 0
-    shapes: list[tuple[int, ...]] = field(default_factory=list)
 
     def _grew(self, *shape: int) -> None:
         elems = 1
@@ -32,7 +31,6 @@ class OpTally:
             elems *= s
         if elems > self.max_elements:
             self.max_elements = elems
-        self.shapes.append(tuple(shape))
 
 
 @contextmanager

@@ -28,7 +28,7 @@ from .benchmarks import (
     spectral_ground_truth,
 )
 from .errors import InvalidInput, LrdmdError, PairingFailure, SimulationBlowup
-from .linalg import numerical_rank, thin_svd
+from .linalg import DEFAULT_RANK_TOL, numerical_rank, thin_svd
 from .reduced import (
     ReducedModel,
     SpectralModel,
@@ -123,26 +123,24 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _provenance(manifest: dict, method: str, k: int, rank_tol: float) -> dict:
+def _provenance(manifest: dict, method: str, k: int) -> dict:
     return {
         "dataset_hash": lio.manifest_hash(manifest),
         "generator": manifest.get("generator"),
         "method": method,
         "k": k,
-        "rank_tol": rank_tol,
+        "rank_tol": DEFAULT_RANK_TOL,
     }
 
 
 def cmd_fit(args) -> int:
     data, manifest = lio.read_dataset(args.dataset)
-    if args.method not in SOLVERS:
-        raise InvalidInput(f"unknown method {args.method!r}")
     if not (1 <= args.k <= data.m):
         raise InvalidInput(f"k must lie in [1, {data.m}]")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    prov = _provenance(manifest, args.method, args.k, args.rank_tol)
-    fit = SOLVERS[args.method](data, args.rank_tol)
+    prov = _provenance(manifest, args.method, args.k)
+    fit = SOLVERS[args.method](data)
     op = fit.operator(args.k)
     cf_sq = fit.error_sq(args.k) if args.method == "optimal" else None
     rep = error_report(op, data, closed_form_sq=cf_sq)
@@ -196,7 +194,7 @@ def cmd_sweep(args) -> int:
     data, manifest = lio.read_dataset(args.dataset)
     ks = _parse_k_range(args.k_range, data.m)
     methods = tuple(args.methods.split(","))
-    curve = error_sweep(data, ks, methods, args.rank_tol)
+    curve = error_sweep(data, ks, methods)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["k,method,normalized_error,closed_form_error,flags"]
@@ -265,7 +263,7 @@ def cmd_verify(args) -> int:
     k = args.k
     checks: list[tuple[str, bool, str]] = []
 
-    fit = fit_optimal(data, args.rank_tol)
+    fit = fit_optimal(data)
     op = fit.operator(k)
     cf_sq = fit.error_sq(k)
     direct = op.residual_fro(data)
@@ -276,8 +274,8 @@ def cmd_verify(args) -> int:
     res1 = first_order_residual(op, data)
     checks.append(("first-order-residual", res1 <= 1e-8, f"residual={res1:.3e} tol=1e-08"))
 
-    rank_x = numerical_rank(data.svd_x, args.rank_tol)
-    rank_y = numerical_rank(thin_svd(data.Y), args.rank_tol) if np.any(data.Y) else 0
+    rank_x = numerical_rank(data.svd_x)
+    rank_y = numerical_rank(thin_svd(data.Y)) if np.any(data.Y) else 0
     bound = min(k, rank_x, rank_y)
     checks.append(("rank-bound", op.r <= bound, f"effective_rank={op.r} bound={bound}"))
 
@@ -336,13 +334,12 @@ def _eigen_residuals(op: FactoredOperator, spectral: SpectralModel) -> tuple[flo
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lrdmd", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument("--rank-tol", type=float, default=1e-12, help="relative numerical-rank cutoff")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", parents=[common], help="generate a benchmark dataset")
     p.add_argument("generator", choices=GENERATORS)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--psnr", type=float, default=None, help="corrupt snapshots at this PSNR (dB)")
     p.set_defaults(func=cmd_generate)

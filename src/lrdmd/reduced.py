@@ -127,12 +127,12 @@ def build_svd_reduced_model(op: FactoredOperator) -> ReducedModel:
     return ReducedModel(L=op.Q.copy(), R=op.P.copy(), S=op.Q.T @ op.P)
 
 
-def build_spectral_model(op: FactoredOperator, zero_tol: float = ZERO_EIG_TOL) -> SpectralModel:
+def build_spectral_model(op: FactoredOperator) -> SpectralModel:
     """Eigentriples of ``A = P Q^T`` from one k-by-k eigensolve.
 
     Solves ``(Q^T P) W = W Lambda`` and sets ``zeta = P W`` and
     ``xi = Q W^{-T} Lambda^{-1}``, so ``xi^T zeta = I`` by construction, also
-    inside a repeated eigenspace.  Keeps the eigenvalues above ``zero_tol``
+    inside a repeated eigenspace.  Keeps the eigenvalues above ``ZERO_EIG_TOL``
     times the dominant modulus.  A near-defective eigenbasis triggers a
     ``DiagonalisabilityWarning`` and a flag but still returns the model; a
     numerically singular one raises ``PairingFailure``.
@@ -165,7 +165,7 @@ def build_spectral_model(op: FactoredOperator, zero_tol: float = ZERO_EIG_TOL) -
     if not worst <= 1e12:
         raise PairingFailure(f"eigenvector basis numerically singular: max 1/|y^T w| = {worst:.3e}")
 
-    keep = np.abs(lam) > zero_tol * scale
+    keep = np.abs(lam) > ZERO_EIG_TOL * scale
     lam = lam[keep]
     zeta = audit.mm(op.P, W[:, keep])
     xi = audit.mm(op.Q, W_inv[keep].T) / lam[None, :]

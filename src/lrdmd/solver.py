@@ -17,7 +17,8 @@ then read off the fit as a column prefix:
 
 All three methods start from the row space of X.  A ``SnapshotPair``
 factors X once, on first use, and every fit of that pair (and so every
-single-k view and sweep) reads that one SVD.
+single-k view and sweep) reads that one SVD.  Every rank decision uses the
+one cutoff ``linalg.DEFAULT_RANK_TOL``; no function here takes a tolerance.
 
 All operators are returned in factored form ``A = P Q^T`` with
 ``P, Q in R^{n x r}``; nothing here ever materialises an n-by-n array.
@@ -153,9 +154,9 @@ class FactoredOperator:
         g = float(np.sum((self.P.T @ self.P) * (self.Q.T @ self.Q)))
         return float(np.sqrt(max(g, 0.0)))
 
-    def has_orthonormal_p(self, tol: float = 1e-8) -> bool:
+    def has_orthonormal_p(self) -> bool:
         g = self.P.T @ self.P
-        return bool(np.linalg.norm(g - np.eye(self.r)) <= tol * max(1.0, self.r))
+        return bool(np.linalg.norm(g - np.eye(self.r)) <= 1e-8 * max(1.0, self.r))
 
 
 @dataclass(frozen=True)
@@ -210,15 +211,16 @@ class LowRankFit:
         return float(np.sum(self.s[k:] ** 2)) + self.leak_sq
 
 
-def fit_optimal(data: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> LowRankFit:
+def fit_optimal(data: SnapshotPair) -> LowRankFit:
     """The optimum for every k from the thin SVDs of X and ``C = Y V_r``, in O(m^2 (m + n)).
 
     Formulas in the module docstring.  The fit's rank counts the singular
-    values of C above ``rank_tol * ||Y||_F``: measured against C's own largest
-    one, pure roundoff (Y's rows orthogonal to the row space of X) would count.
+    values of C above ``DEFAULT_RANK_TOL * ||Y||_F``: measured against C's own
+    largest one, pure roundoff (Y's rows orthogonal to the row space of X)
+    would count.
     """
     svd_x = data.svd_x
-    r = numerical_rank(svd_x, rank_tol)
+    r = numerical_rank(svd_x)
     Vr = svd_x.right[:, :r]
     C = audit.mm(data.Y, Vr)
     svd_c = thin_svd(C) if r else ThinSVD(U=C, S=np.zeros(0), V=np.zeros((0, 0)))
@@ -226,24 +228,24 @@ def fit_optimal(data: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> LowRa
     leak = audit.mm(C, Vr.T)
     np.subtract(data.Y, leak, out=leak)
     Q_mix = svd_c.right * svd_c.S / svd_x.S[:r, None]
-    rank = int(np.count_nonzero(svd_c.S > rank_tol * np.linalg.norm(data.Y)))
+    rank = int(np.count_nonzero(svd_c.S > DEFAULT_RANK_TOL * np.linalg.norm(data.Y)))
     return LowRankFit(data.m, rank, svd_c.left, svd_x.left[:, :r], Q_mix, s=svd_c.S, leak_sq=float(np.vdot(leak, leak)))
 
 
-def fit_truncated(data: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> LowRankFit:
+def fit_truncated(data: SnapshotPair) -> LowRankFit:
     """SVD truncations of ``Y X^+`` for every k: ``fit_optimal``'s route on ``D = Y V_r S_r^{-1}``.
 
     ``Y X^+ = D U_r^T`` and U_r is orthonormal, so the thin SVD
     ``D = U_D S_D V_D^T`` gives ``P_k = U_D[:, :k]`` and
     ``Q_k = U_r V_D[:, :k] diag(S_D[:k])``; Y itself is never factored.
     """
-    if not (np.any(data.X) and np.any(data.Y)):
+    if not np.any(data.X):
         empty = np.zeros((data.n, 0))
         return LowRankFit(data.m, 0, empty, empty, np.zeros((0, 0)), flags=("degenerate_x",))
     svd_x = data.svd_x
-    r = numerical_rank(svd_x, rank_tol)
+    r = numerical_rank(svd_x)
     svd_d = thin_svd(audit.scale(audit.mm(data.Y, svd_x.right[:, :r]), 1.0 / svd_x.S[:r]))
-    return LowRankFit(data.m, numerical_rank(svd_d, rank_tol), svd_d.left, svd_x.left[:, :r], svd_d.right * svd_d.S)
+    return LowRankFit(data.m, numerical_rank(svd_d), svd_d.left, svd_x.left[:, :r], svd_d.right * svd_d.S)
 
 
 @dataclass(frozen=True)
@@ -263,7 +265,7 @@ class ProjectedFit:
         return FactoredOperator(P=self.Ux, Q=audit.mm(self.Ux, self.inv_sx[:, None] * B_trunc.T), flags=self.flags)
 
 
-def fit_projected(data: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> ProjectedFit:
+def fit_projected(data: SnapshotPair) -> ProjectedFit:
     """Fit projected DMD once: thin SVDs of X and of ``B = U_X^T Y V_X``.
 
     Exact when the data admits a companion matrix (columns of A X inside the
@@ -274,17 +276,17 @@ def fit_projected(data: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> Pro
         no_b = ThinSVD(U=np.zeros((0, 0)), S=np.zeros(0), V=np.zeros((0, 0)))
         return ProjectedFit(data.m, np.zeros((data.n, 0)), np.zeros(0), no_b, ("degenerate_x", "rank_deficient_x"))
     svd_x = data.svd_x
-    flags = ("rank_deficient_x",) if numerical_rank(svd_x, rank_tol) < min(data.n, data.m) else ()
+    flags = ("rank_deficient_x",) if numerical_rank(svd_x) < min(data.n, data.m) else ()
     B = audit.mm(audit.mm(svd_x.left.T, data.Y), svd_x.right)
-    return ProjectedFit(data.m, svd_x.left, _recip_singular(svd_x, rank_tol), thin_svd(B), flags)
+    return ProjectedFit(data.m, svd_x.left, _recip_singular(svd_x), thin_svd(B), flags)
 
 
-def unconstrained_solution(data: SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> FactoredOperator:
+def unconstrained_solution(data: SnapshotPair) -> FactoredOperator:
     """Least-squares solution ``Y X^+``: the truncation baseline at k = m."""
-    return fit_truncated(data, rank_tol).operator(data.m)
+    return fit_truncated(data).operator(data.m)
 
 
-def optimal_lowrank(data: SnapshotPair, k: int, rank_tol: float = DEFAULT_RANK_TOL) -> FactoredOperator:
+def optimal_lowrank(data: SnapshotPair, k: int) -> FactoredOperator:
     """Closed-form minimiser of ``||Y - A X||_F`` over rank(A) <= k.
 
     ``A = U_k U_k^T Y X^+``, U_k the leading left singular vectors of the
@@ -292,22 +294,22 @@ def optimal_lowrank(data: SnapshotPair, k: int, rank_tol: float = DEFAULT_RANK_T
     ``P = U[:, :k]``, ``Q = U_r S_r^{-1} W[:, :k] diag(s[:k])``.  Past the
     numerical rank of C the operator has fewer columns and "rank_deficient".
     """
-    return fit_optimal(data, rank_tol).operator(k)
+    return fit_optimal(data).operator(k)
 
 
-def optimal_error_closed_form(data: SnapshotPair, k: int, rank_tol: float = DEFAULT_RANK_TOL) -> float:
+def optimal_error_closed_form(data: SnapshotPair, k: int) -> float:
     """Closed-form SQUARED optimal error ``sum_{i>k} s_i^2 + ||Y (I - P_rows(X))||_F^2`` (see ``fit_optimal``)."""
-    return fit_optimal(data, rank_tol).error_sq(k)
+    return fit_optimal(data).error_sq(k)
 
 
-def truncated_baseline(data: SnapshotPair, k: int, rank_tol: float = DEFAULT_RANK_TOL) -> FactoredOperator:
+def truncated_baseline(data: SnapshotPair, k: int) -> FactoredOperator:
     """k-term SVD truncation of the unconstrained solution ``Y X^+`` (see ``fit_truncated``)."""
-    return fit_truncated(data, rank_tol).operator(k)
+    return fit_truncated(data).operator(k)
 
 
-def projected_dmd_baseline(data: SnapshotPair, k: int, rank_tol: float = DEFAULT_RANK_TOL) -> FactoredOperator:
+def projected_dmd_baseline(data: SnapshotPair, k: int) -> FactoredOperator:
     """Projected-DMD approximation at rank k (see ``fit_projected``)."""
-    return fit_projected(data, rank_tol).operator(k)
+    return fit_projected(data).operator(k)
 
 
 def first_order_residual(op: FactoredOperator, data: SnapshotPair) -> float:

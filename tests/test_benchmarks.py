@@ -230,6 +230,11 @@ class TestNoise:
         out = add_noise_psnr(data, np.inf, seed=1)
         np.testing.assert_array_equal(out.X, data.X)
 
+    @pytest.mark.parametrize("psnr", [-np.inf, np.nan])
+    def test_non_finite_psnr_other_than_plus_inf_rejected(self, psnr):
+        with pytest.raises(InvalidInput):
+            add_noise_psnr(self._small_pair(), psnr, seed=1)
+
     def test_sigma_formula_20db(self):
         data = self._small_pair(1)
         peak = max(np.max(np.abs(data.X)), np.max(np.abs(data.Y)))

@@ -1,5 +1,6 @@
 """Persistence round-trips and the command-line surface (exit-code contract)."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -127,6 +128,41 @@ class TestCli:
         assert main(["fit", str(toy_ds), "--method", "truncated", "--k", "5", "--out", str(out2)]) == 0
         assert (out2 / "model-factored.json").exists()
         assert not (out2 / "model-spectral.json").exists()
+
+    def test_parser_argument_sets(self):
+        from lrdmd.cli import build_parser
+
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            name: {a.option_strings[0] if a.option_strings else a.dest for a in p._actions if a.dest != "help"}
+            for name, p in sub.choices.items()
+        }
+        assert got == {
+            "generate": {"generator", "--seed", "--out", "--psnr", "--quiet"},
+            "fit": {"dataset", "--method", "--k", "--out", "--quiet"},
+            "sweep": {"dataset", "--k-range", "--methods", "--out", "--quiet"},
+            "simulate": {"model", "--theta-file", "--dataset", "--column", "--steps", "--out", "--quiet"},
+            "verify": {"dataset", "--k", "--spectral-model", "--quiet"},
+        }
+
+    def test_removed_options_exit2(self, toy_ds, tmp_path, capsys):
+        out = tmp_path / "fit"
+        assert main(["fit", str(toy_ds), "--k", "3", "--out", str(out), "--rank-tol", "1e-9"]) == 2
+        assert not out.exists()
+        assert main(["verify", str(toy_ds), "--k", "3", "--seed", "1", "--quiet"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert main(["verify", str(toy_ds), "--k", "3", "--quiet"]) == 0
+
+    def test_provenance_records_fixed_rank_tol(self, toy_ds, tmp_path):
+        out = tmp_path / "fit"
+        assert main(["fit", str(toy_ds), "--k", "3", "--out", str(out), "--quiet"]) == 0
+        _op, kind, prov = lio.load_model(out / "model-factored.json")
+        assert kind == "factored" and prov["rank_tol"] == lrdmd.DEFAULT_RANK_TOL == 1e-12
+
+    def test_generate_negative_infinite_psnr_exit2(self, tmp_path):
+        out = tmp_path / "ds"
+        assert main(["generate", "toy-ii", "--psnr=-inf", "--out", str(out), "--quiet"]) == 2
+        assert not (out / "manifest.json").exists()
 
     def test_fit_invalid_k_exit2(self, toy_ds, tmp_path):
         assert main(["fit", str(toy_ds), "--method", "optimal", "--k", "99", "--out", str(tmp_path / "x")]) == 2
@@ -338,10 +374,12 @@ class TestCli:
         import sys
 
         out = tmp_path / "ds"
+        env = {**os.environ, "PYTHONPATH": str(Path(lrdmd.__file__).parents[1])}
         proc = subprocess.run(
             [sys.executable, "-m", "lrdmd.cli", "generate", "toy-i", "--seed", "2", "--out", str(out)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "X.csv").exists()

@@ -11,6 +11,7 @@ from lrdmd import (
     pinv,
     thin_svd,
 )
+from lrdmd.linalg import _fix_phase
 
 from conftest import row_space_projector
 
@@ -56,6 +57,12 @@ class TestThinSVD:
             for j in range(4):
                 i = int(np.argmax(np.abs(svd.U[:, j])))
                 assert svd.U[i, j] >= 0
+
+    def test_factors_c_contiguous(self):
+        rng = np.random.default_rng(5)
+        for shape in ((9, 4), (4, 9)):
+            svd = thin_svd(rng.standard_normal(shape))
+            assert svd.U.flags.c_contiguous and svd.V.flags.c_contiguous
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -203,6 +210,18 @@ class TestEigNonsymmetric:
             else:
                 i += 1
 
+    def test_phase_convention(self):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            M = rng.standard_normal((12, 12))
+            es = eig_nonsymmetric(M)
+            for lam, w in zip(es.values, es.vectors.T):
+                pivot = w[np.argmax(np.abs(w))]
+                assert pivot.real > 0 and abs(pivot.imag) <= 1e-15 * pivot.real
+                assert abs(np.linalg.norm(w) - 1.0) <= 1e-14
+                if lam.imag == 0:
+                    assert not np.any(w.imag)
+
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidInput):
             eig_nonsymmetric(np.ones((2, 3)))
@@ -210,3 +229,34 @@ class TestEigNonsymmetric:
     def test_returns_eigenset_type(self):
         es = eig_nonsymmetric(np.eye(2))
         assert isinstance(es, ComplexEigenSet)
+
+
+def _loop_fix_phase(M, *followers):
+    """Per-column reference for ``_fix_phase``: the pivot is the lowest-index largest-magnitude entry."""
+    M, followers = M.copy(), [F.copy() for F in followers]
+    for j in range(M.shape[1]):
+        pivot = M[int(np.argmax(np.abs(M[:, j]))), j]
+        if abs(pivot) > 0:
+            phase = np.conj(pivot) / abs(pivot)
+            for A in (M, *followers):
+                A[:, j] = A[:, j] * phase
+    return M, followers
+
+
+class TestPhaseRule:
+    def _inputs(self, dtype):
+        rng = np.random.default_rng(15)
+        M = rng.standard_normal((6, 5)).astype(dtype)
+        if dtype is complex:
+            M += 1j * rng.standard_normal((6, 5))
+        M[:, 1] = 0.0  # zero column: left alone, no 0/0
+        M[:, 2] = [-2.0, 1.0, 2.0, 0.5, 0.0, -1.0]  # tie: the lower index wins
+        return M, rng.standard_normal((3, 5)).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_bitwise_equal_to_per_column_loop(self, dtype):
+        M, F = self._inputs(dtype)
+        want_M, (want_F,) = _loop_fix_phase(M, F)
+        _fix_phase(M, F)
+        assert M.tobytes() == want_M.tobytes() and F.tobytes() == want_F.tobytes()
+        assert not np.any(M[:, 1]) and M[0, 2] == 2.0 and M[2, 2] == -2.0

@@ -306,6 +306,14 @@ class TestTruncatedBaseline:
         op = truncated_baseline(data, 1)
         np.testing.assert_allclose(dense(op), np.diag([3.0, 0.0]), atol=1e-12)
 
+    def test_zero_Y_is_rank_deficient_not_degenerate(self):
+        rng = np.random.default_rng(16)
+        data = SnapshotPair(X=rng.standard_normal((10, 4)), Y=np.zeros((10, 4)))
+        op = fit_truncated(data).operator(2)
+        assert op.r == 0 and op.flags == ("rank_deficient",)
+        assert op.flags == optimal_lowrank(data, 2).flags
+        assert op.residual_fro(data) == 0.0
+
     def test_is_svd_truncation_oracle(self):
         rng = np.random.default_rng(15)
         data = SnapshotPair(X=rng.standard_normal((20, 8)), Y=rng.standard_normal((20, 8)))
