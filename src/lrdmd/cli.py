@@ -28,7 +28,7 @@ from .benchmarks import (
     spectral_ground_truth,
 )
 from .errors import InvalidInput, LrdmdError, PairingFailure, SimulationBlowup
-from .linalg import DEFAULT_RANK_TOL, numerical_rank, thin_svd
+from .linalg import DEFAULT_RANK_TOL, numerical_rank
 from .reduced import (
     ReducedModel,
     SpectralModel,
@@ -103,13 +103,11 @@ def cmd_generate(args) -> int:
         manifest["config"] = dataclasses.asdict(cfg)
         manifest["scheme"] = _scheme_metadata(cfg)
         manifest["base_model"] = {"fitted_from": "rb-vi", "k": 3, "seed": seed}
-        if name == "spectral-viii":
-            psnr = args.psnr if args.psnr is not None else 20.0
-            data = add_noise_psnr(data, psnr, seed + 2)
+    psnr = 20.0 if name == "spectral-viii" and args.psnr is None else args.psnr
+    if psnr is not None:
+        data = add_noise_psnr(data, psnr, seed + 2)
+        if psnr != np.inf:  # +inf adds no noise, so the manifest is the one written without --psnr
             manifest["psnr_db"] = psnr
-    if args.psnr is not None and name != "spectral-viii":
-        data = add_noise_psnr(data, args.psnr, seed + 2)
-        manifest["psnr_db"] = args.psnr
     manifest.update({"n": data.n, "m": data.m, "N": data.n_traj, "T": data.traj_len})
     lio.write_dataset(out, data, manifest)
     if truth is not None:
@@ -275,7 +273,7 @@ def cmd_verify(args) -> int:
     checks.append(("first-order-residual", res1 <= 1e-8, f"residual={res1:.3e} tol=1e-08"))
 
     rank_x = numerical_rank(data.svd_x)
-    rank_y = numerical_rank(thin_svd(data.Y)) if np.any(data.Y) else 0
+    rank_y = int(np.linalg.matrix_rank(data.Y, rtol=DEFAULT_RANK_TOL))  # singular values only; 0 for Y = 0
     bound = min(k, rank_x, rank_y)
     checks.append(("rank-bound", op.r <= bound, f"effective_rank={op.r} bound={bound}"))
 

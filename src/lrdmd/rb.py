@@ -21,17 +21,19 @@ explicit RK4; the default dt=1e-4 keeps |Lap|_max * dt inside the RK4
 stability interval for the default grid with sigma, nu of order one.
 
 Coefficients are held as (q, field, batch, f1) arrays; the leading batch axis
-is a stack of trajectories stepped together.  The s2 synthesis and analysis
-are each one real GEMM over the whole stack, on the complex array viewed as
-float pairs; the s1 direction is ``np.fft.rfft``/``irfft`` on the last axis.
-The advection products are odd in s2, so they are formed only on the
-n1 x (n2 - 1) interior points, and their analysis keeps only the rows
-q < 2 n2 / 3 and the columns f1 < n1 / 3 of the 2/3 rule.  One right-hand
-side is one synthesis of the stream function, b and tau with their
-derivatives, and one analysis of the two advection products.  In the linear
-(Taylor-vortex) regime the buoyancy is analytic and shared by every
-trajectory: its velocity and forcing are formed once and scaled by
-exp(-rate t) at each RK4 stage.
+is a stack of trajectories stepped together.  Every transform is a real GEMM
+over the whole stack on the complex array viewed as float pairs: along s2 a
+sine or cosine matrix on axis 0, along s1 a real DFT matrix on the last axis.
+The s1 matrices are built once per grid from ``np.fft`` (Boyd, *Chebyshev and
+Fourier Spectral Methods*, 2nd ed., sections 9-11: matrix-multiply transforms
+at small n), which is never called while stepping or sampling.  The advection
+products are odd in s2, so they are formed only on the n1 x (n2 - 1) interior
+points, and their analysis computes only the rows q < 2 n2 / 3 and the
+columns f1 < n1 / 3 that the 2/3 rule keeps.  One right-hand side is one
+synthesis of the stream function, b and tau with their derivatives, and one
+analysis of the two advection products.  In the linear (Taylor-vortex)
+regime the buoyancy is analytic and shared by every trajectory: its velocity
+and forcing are formed once and scaled by exp(-rate t) at each RK4 stage.
 
 State layout: x = (b; tau), each field raveled row-major over (i1, i2), so
 n = 2 * n1 * n2 (1024 for the default 16 x 32 grid).  The simulators return
@@ -121,12 +123,22 @@ def _s2(M: np.ndarray, C: np.ndarray) -> np.ndarray:
     return (M @ pairs).view(np.complex128).reshape((len(M),) + C.shape[1:])
 
 
+def _s1(a: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Apply the real (cols, out) matrix ``M`` to the last axis of real ``a`` as one GEMM."""
+    return (a.reshape(-1, a.shape[-1]) @ M).reshape(a.shape[:-1] + (M.shape[1],))
+
+
 class _SineFourier:
     """Sine-Fourier coefficients and diagonal operators for one (n1, n2) cell grid.
 
     A coefficient array is (q, field, batch, f1): sine modes q = 1..n2-1 along
     s2 and the ``rfft`` half spectrum f1 = 0..n1/2 along s1.  Grid arrays are
     (j, field, batch, i1) on the interior points s2 = j / n2, j = 1..n2-1.
+    The s1 synthesis ``synth`` is 2 (n1/2 + 1) x n1 and acts on the float
+    pairs (re, im) of a half spectrum; ``synth_grad1`` stacks it with the same
+    synthesis with ``d1`` folded in.  The s1 analysis ``analysis1`` is
+    n1 x 2 (n1/2 + 1) and ``analysis1_dealiased`` keeps its first 2 keep_f1
+    columns.
     """
 
     def __init__(self, grid: tuple[int, int]):
@@ -150,29 +162,38 @@ class _SineFourier:
         self.keep_q = int(np.sum(q < 2 * n2 / 3.0))
         self.keep_f1 = int(np.sum(f1 < n1 / 3.0))
         self.analysis_dealiased = self.analysis[: self.keep_q]
+        # Synthesis rows are the irfft of each unit real and unit imaginary coefficient, so the
+        # imaginary rows of f1 = 0 and f1 = n1/2 are zero, as irfft ignores those parts.
+        unit = np.zeros((2 * f1.size, f1.size), dtype=complex)
+        unit[0::2] = np.eye(f1.size)
+        unit[1::2] = 1j * np.eye(f1.size)
+        self.synth = np.fft.irfft(unit, n=n1)
+        self.synth_grad1 = np.stack([self.synth, np.fft.irfft(unit * self.d1, n=n1)])
+        self.analysis1 = np.fft.rfft(np.eye(n1)).view(np.float64)
+        self.analysis1_dealiased = np.ascontiguousarray(self.analysis1[:, : 2 * self.keep_f1])
 
     def from_cell(self, fields: np.ndarray) -> np.ndarray:
         """(F, N, n1, n2) cell-grid fields to coefficients, projected onto the sine modes."""
         interior = np.moveaxis(fields[..., 1:], -1, 0)
-        return _s2(self.analysis, np.fft.rfft(interior))
+        return _s2(self.analysis, _s1(interior, self.analysis1).view(np.complex128))
 
     def to_cell(self, U: np.ndarray) -> np.ndarray:
         """Coefficients (q, F, N, f1) to (N, F * n1 * n2) cell-grid states; the s2 = 0 column is 0."""
-        g = np.fft.irfft(_s2(self.sine, U), n=self.n1)
+        g = _s1(_s2(self.sine, U).view(np.float64), self.synth)
         cell = np.zeros((g.shape[2], g.shape[1], self.n1, self.n2))
         cell[..., 1:] = g.transpose(2, 1, 3, 0)
         return cell.reshape(len(cell), -1)
 
     def grad_grid(self, U: np.ndarray) -> np.ndarray:
         """(d_s2, d_s1) of sine fields (q, F, N, f1) on the interior grid, (2, j, F, N, n1)."""
-        G = _s2(self.synth_grad, U).reshape((2, self.n2 - 1) + U.shape[1:])
-        G[1] *= self.d1  # d_s1 acts on f1 alone, so it commutes with the s2 synthesis
-        return np.fft.irfft(G, n=self.n1)
+        # d_s1 acts on f1 alone, so it commutes with the s2 synthesis and is folded into the s1 one.
+        pairs = _s2(self.synth_grad, U).view(np.float64).reshape(2, -1, self.synth.shape[0])
+        return np.matmul(pairs, self.synth_grad1).reshape((2, self.n2 - 1) + U.shape[1:-1] + (self.n1,))
 
     def advection(self, v1: np.ndarray, v2: np.ndarray, G: np.ndarray) -> np.ndarray:
         """Dealiased coefficients (keep_q, F, N, keep_f1) of v . grad from ``grad_grid`` output."""
-        products = np.fft.rfft(v1 * G[1] + v2 * G[0])[..., : self.keep_f1]
-        return _s2(self.analysis_dealiased, products)
+        products = _s1(v1 * G[1] + v2 * G[0], self.analysis1_dealiased)
+        return _s2(self.analysis_dealiased, products.view(np.complex128))
 
 
 def _lorenz_fields(ic: InitCondition, S1: np.ndarray, S2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

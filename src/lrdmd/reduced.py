@@ -127,48 +127,70 @@ def build_svd_reduced_model(op: FactoredOperator) -> ReducedModel:
     return ReducedModel(L=op.Q.copy(), R=op.P.copy(), S=op.Q.T @ op.P)
 
 
+def _kept_left_rows(K: np.ndarray, lam: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Rows ``Y`` with ``Y W = I`` and ``Y K = diag(lam) Y`` for the eigenpairs ``(lam, W)`` of ``K``.
+
+    In an orthonormal basis ``[U1 U2]`` with ``W = U1 R``, ``K`` is block upper
+    triangular ``[[T11, T12], [0, T22]]`` and ``T22`` carries the other
+    eigenvalues.  In that basis ``Y = [R^-1, Z]``, where row i of Z solves
+    ``z (lam_i I - T22) = (R^-1 T12)_i``: one shifted solve per eigenvalue, and
+    no inverse of the other block, which may be defective.
+    """
+    r = W.shape[1]
+    U, R = np.linalg.qr(W, mode="complete")
+    T = U.conj().T @ K @ U
+    R_inv = np.linalg.inv(R[:r])
+    shifted = lam[:, None, None] * np.eye(len(K) - r) - T[r:, r:]
+    Z = np.linalg.solve(shifted.transpose(0, 2, 1), (R_inv @ T[:r, r:])[..., None])[..., 0]
+    return R_inv @ U[:, :r].conj().T + Z @ U[:, r:].conj().T
+
+
 def build_spectral_model(op: FactoredOperator) -> SpectralModel:
     """Eigentriples of ``A = P Q^T`` from one k-by-k eigensolve.
 
-    Solves ``(Q^T P) W = W Lambda`` and sets ``zeta = P W`` and
-    ``xi = Q W^{-T} Lambda^{-1}``, so ``xi^T zeta = I`` by construction, also
-    inside a repeated eigenspace.  Keeps the eigenvalues above ``ZERO_EIG_TOL``
-    times the dominant modulus.  A near-defective eigenbasis triggers a
-    ``DiagonalisabilityWarning`` and a flag but still returns the model; a
-    numerically singular one raises ``PairingFailure``.
+    Solves ``K W = W Lambda`` for ``K = Q^T P`` and keeps the eigenvalues above
+    ``ZERO_EIG_TOL`` times the dominant modulus.  Sets ``zeta = P W`` and
+    ``xi = Q W^{-T} Lambda^{-1}`` on the kept pairs, so ``xi^T zeta = I`` by
+    construction, also inside a repeated eigenspace.  When eigenvalues are
+    dropped, the left rows come from the kept invariant subspace alone
+    (``_kept_left_rows``), so a defective zero block is never inverted.  A
+    near-defective kept eigenbasis triggers a ``DiagonalisabilityWarning`` and
+    a flag but still returns the model; a numerically singular one raises
+    ``PairingFailure``.
     """
     z = np.zeros((op.n, 0), dtype=complex)
     empty = SpectralModel(eigvals=np.zeros(0, dtype=complex), right_vecs=z, left_vecs=z.copy())
     if op.r == 0:
         return empty
-    eig = eig_nonsymmetric(op.Q.T @ op.P)
+    K = op.Q.T @ op.P
+    eig = eig_nonsymmetric(K)
     lam, W = eig.values, eig.vectors
     scale = float(np.max(np.abs(lam)))
     if scale <= 0.0:
         return empty
+    keep = np.abs(lam) > ZERO_EIG_TOL * scale
+    lam, W_kept = lam[keep], W[:, keep]
 
     flags: tuple[str, ...] = ()
-    cond = np.linalg.cond(W)
+    cond = np.linalg.cond(W_kept)
     if not np.isfinite(cond) or cond > DEFECTIVE_COND:
         warnings.warn(
             f"eigenvector basis condition number {cond:.3e}; operator may be defective",
             DiagonalisabilityWarning,
         )
         flags = ("ill_conditioned_eigenbasis",)
-    # W has unit columns, so row i of W^{-1} has norm 1 / |y_i^T w_i| for the unit left
+    # W has unit columns, so left row i has norm 1 / |y_i^T w_i| for the unit left
     # eigenvector y_i; a pair with |y_i^T w_i| < 1e-12 makes W numerically singular.
     try:
-        W_inv = np.linalg.inv(W)
+        W_inv = np.linalg.inv(W) if keep.all() else _kept_left_rows(K, lam, W_kept)
     except np.linalg.LinAlgError:
-        W_inv = np.full_like(W, np.inf)
+        W_inv = np.full_like(W_kept.T, np.inf)
     worst = float(np.max(np.linalg.norm(W_inv, axis=1)))
     if not worst <= 1e12:
         raise PairingFailure(f"eigenvector basis numerically singular: max 1/|y^T w| = {worst:.3e}")
 
-    keep = np.abs(lam) > ZERO_EIG_TOL * scale
-    lam = lam[keep]
-    zeta = audit.mm(op.P, W[:, keep])
-    xi = audit.mm(op.Q, W_inv[keep].T) / lam[None, :]
+    zeta = audit.mm(op.P, W_kept)
+    xi = audit.mm(op.Q, W_inv.T) / lam[None, :]
     # A real eigenvalue has a real left vector; the complex inverse leaves roundoff in its imaginary part.
     xi[:, lam.imag == 0] = xi[:, lam.imag == 0].real
     return SpectralModel(eigvals=lam, right_vecs=zeta, left_vecs=xi, flags=flags)

@@ -16,7 +16,84 @@ from lrdmd.cli import main
 from lrdmd.svgplot import error_chart
 
 
+def _oracle_block(M):
+    """The per-value writer the whole-matrix codec replaced."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    lines = [f"{M.shape[0]},{M.shape[1]}"]
+    lines.extend(",".join(format(float(v), ".17g") for v in row) for row in M)
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_matrix(text):
+    """The per-value reader the whole-matrix codec replaced."""
+    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    rows, cols = (int(p) for p in lines[0].split(","))
+    out = np.empty((rows, cols))
+    for i, ln in enumerate(lines[1:]):
+        out[i] = [float(p) for p in ln.split(",")]
+    return out
+
+
+_EDGE = [-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+         0.1, 1 / 3, -2.5e-17, 123456789.0, np.inf, -np.inf]
+
+
 class TestMatrixCsv:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 13), (13, 1), (13, 13), (40, 7)])
+    def test_codec_matches_per_value_oracle(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        M = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        flat = M.ravel()
+        flat[: len(_EDGE)] = _EDGE[: flat.size]
+        if flat.size == 1:
+            M = np.array([[-0.0]])
+        text = lio.matrix_to_block(M)
+        assert text == _oracle_block(M)
+        back = lio.block_to_matrix(text)
+        assert back.shape == M.shape and back.dtype == np.float64
+        assert back.tobytes() == M.tobytes() == _oracle_matrix(text).tobytes()
+
+    def test_vector_and_nan_written_like_oracle(self):
+        v = np.array([np.nan, -0.0, 5e-324])
+        assert lio.matrix_to_block(v) == _oracle_block(v) == "1,3\nnan,-0,4.9406564584124654e-324\n"
+
+    def test_complex_model_blocks_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(11)
+        right = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
+        left = rng.standard_normal((9, 3)) * 1e-300 - 1j * rng.standard_normal((9, 3)) * 1e300
+        right[0, 0], left[1, 1] = complex(-0.0, 5e-324), complex(2.2e-308, -0.0)
+        sm = lrdmd.SpectralModel(eigvals=np.array([0.9 + 0.1j, 0.9 - 0.1j, -0.5 + 0j]), right_vecs=right,
+                                 left_vecs=left)
+        lio.save_spectral(tmp_path / "s.json", sm, {})
+        blocks = json.loads((tmp_path / "s.json").read_text())["blocks"]
+        assert blocks["zeta_im"] == _oracle_block(right.imag) and blocks["xi_re"] == _oracle_block(left.real)
+        back, kind, _ = lio.load_model(tmp_path / "s.json")
+        assert kind == "spectral"
+        for got, want in ((back.eigvals, sm.eigvals), (back.right_vecs, right), (back.left_vecs, left)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("2,2\n1.0,2.0\n3.0\n", "row 1 has 1 values, expected 2"),
+            ("3,2\n1.0,2.0\n3.0,4.0,5.0\n6.0,7.0\n", "row 1 has 3 values, expected 2"),
+            ("2,2\n1.0,2.0,3.0\n4.0\n", "row 0 has 3 values, expected 2"),
+            ("3,2\n1.0,2.0\n3.0,4.0\n", "expected 3 data rows, found 2"),
+            ("1,2\n1.0,2.0\n3.0,4.0\n", "expected 1 data rows, found 2"),
+            ("2;2\n1.0,2.0\n3.0,4.0\n", "bad matrix header"),
+            ("  \n\n", "empty matrix block"),
+        ],
+    )
+    def test_malformed_blocks_rejected(self, text, message):
+        with pytest.raises(lrdmd.InvalidInput, match=message):
+            lio.block_to_matrix(text)
+
+    @pytest.mark.parametrize("text", ["2,2\n1.0,2.0\n#3.0,4.0\n", "2,2\n1.0,2.0 # note\n3.0,4.0\n",
+                                      "1,2\n1.0,\n", "1,2\n1.0,x\n"])
+    def test_hash_is_not_a_comment_and_bad_values_rejected(self, text):
+        with pytest.raises(lrdmd.InvalidInput, match="bad value"):
+            lio.block_to_matrix(text)
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         M = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-8, 9, size=(7, 5))
@@ -158,6 +235,18 @@ class TestCli:
         assert main(["fit", str(toy_ds), "--k", "3", "--out", str(out), "--quiet"]) == 0
         _op, kind, prov = lio.load_model(out / "model-factored.json")
         assert kind == "factored" and prov["rank_tol"] == lrdmd.DEFAULT_RANK_TOL == 1e-12
+
+    def test_generate_infinite_psnr_manifest_is_strict_json(self, tmp_path):
+        def reject(name):
+            raise ValueError(f"non-finite constant {name}")
+
+        clean, inf = tmp_path / "clean", tmp_path / "inf"
+        assert main(["generate", "toy-ii", "--seed", "7", "--out", str(clean), "--quiet"]) == 0
+        assert main(["generate", "toy-ii", "--seed", "7", "--psnr=inf", "--out", str(inf), "--quiet"]) == 0
+        manifest = json.loads((inf / "manifest.json").read_text(), parse_constant=reject)
+        assert "psnr_db" not in manifest
+        for name in ("manifest.json", "X.csv", "Y.csv"):
+            assert (inf / name).read_bytes() == (clean / name).read_bytes()
 
     def test_generate_negative_infinite_psnr_exit2(self, tmp_path):
         out = tmp_path / "ds"

@@ -306,3 +306,57 @@ class TestSineFourier:
                               (simulate_linear_fields(cfg, ic, tau0, 4), simulate_linear_fields(cfg, ic, tau_wall, 4))):
             np.testing.assert_array_equal(spiked, clean)
             assert not np.any(spiked.reshape(4, 3, 2, 16, 32)[..., 0])
+
+
+class TestS1Matrices:
+    """The s1 synthesis and analysis matrices against ``np.fft`` at the stepping batch shapes."""
+
+    @staticmethod
+    def _half_spectra(shape, seed):
+        rng = np.random.default_rng(seed)
+        C = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.all(C[..., 0].imag != 0) and np.all(C[..., -1].imag != 0)
+        return C
+
+    # (2, j, F, N, f1) of grad_grid in the nonlinear (rb-vi) and linear (rb-iv) regimes
+    @pytest.mark.parametrize("grid", [(16, 32), (15, 8)])
+    @pytest.mark.parametrize("batch", [(2, 31, 3, 5), (2, 31, 1, 50)])
+    def test_synthesis_matches_irfft(self, grid, batch):
+        sp = rb._SineFourier(grid)
+        n1 = grid[0]
+        C = self._half_spectra(batch[:1] + (grid[1] - 1,) + batch[2:] + (n1 // 2 + 1,), seed=n1)
+        pairs = C.view(np.float64)
+        for got, want in (
+            (rb._s1(pairs, sp.synth), np.fft.irfft(C, n=n1)),
+            (rb._s1(pairs, sp.synth_grad1[1]), np.fft.irfft(sp.d1 * C, n=n1)),
+            (np.matmul(pairs.reshape(2, -1, pairs.shape[-1]), sp.synth_grad1).reshape(C.shape[:-1] + (n1,)),
+             np.fft.irfft(np.stack([C[0], sp.d1 * C[1]]), n=n1)),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("grid", [(16, 32), (15, 8)])
+    @pytest.mark.parametrize("batch", [(31, 3, 5), (31, 1, 50)])
+    def test_analysis_matches_rfft(self, grid, batch):
+        sp = rb._SineFourier(grid)
+        g = np.random.default_rng(grid[0]).standard_normal(batch + (grid[0],))
+        want = np.fft.rfft(g)
+        full = rb._s1(g, sp.analysis1).view(np.complex128)
+        dealiased = rb._s1(g, sp.analysis1_dealiased).view(np.complex128)
+        assert np.max(np.abs(full - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.max(np.abs(dealiased - want[..., : sp.keep_f1])) <= 1e-14 * np.max(np.abs(want))
+
+    def test_fft_calls_do_not_grow_with_steps(self, monkeypatch):
+        calls = []
+        for name in ("rfft", "irfft"):
+            real = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, _f=real, **k: calls.append(1) or _f(*a, **k))
+        cfg = RBConfig(nu=6000.0, sample_stride=3)
+        b0, tau0 = _stack(2)
+        ic = _degenerate_ic(sigma=cfg.sigma)
+        counts = []
+        for n_samples in (2, 5):
+            calls.clear()
+            simulate_fields(cfg, b0, tau0, n_samples)
+            simulate_linear_fields(cfg, ic, tau0, n_samples)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]

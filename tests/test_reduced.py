@@ -303,6 +303,39 @@ class TestSpectralModel:
             with pytest.raises(lrdmd.PairingFailure):
                 build_spectral_model(FactoredOperator(P=P, Q=Q))
 
+    def test_defective_zero_block_is_dropped(self):
+        # Q^T P = M has a 2x2 Jordan block at 0 and the eigenvalue 0.5: only the kept pair is inverted
+        P = np.eye(6)[:, :3]
+        M = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+        op = FactoredOperator(P=P, Q=P @ M.T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                model = build_spectral_model(op)
+        assert model.r == 1 and model.flags == ()
+        np.testing.assert_array_equal(model.eigvals, [0.5])
+        theta = np.random.default_rng(5).standard_normal(6)
+        a = simulate_operator(op, theta, 8).states
+        b = simulate_spectral(model, theta, 8).states
+        # A^t keeps only the 0.5 mode once the index-2 nilpotent part is gone (t >= 2, rows 2 onwards)
+        assert np.max(np.abs(a[2:] - b[2:])) <= 1e-15 * np.abs(a[2:]).max()
+
+    def test_dropped_zero_eigenvalues_keep_left_eigenvectors(self):
+        # diagonalisable Q^T P with some exact zero eigenvalues, against the dense operator
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            P = np.linalg.qr(rng.standard_normal((30, 7)))[0]
+            lam = rng.standard_normal(7)
+            lam[: 1 + seed % 3] = 0.0
+            V = rng.standard_normal((7, 7))
+            op = FactoredOperator(P=P, Q=P @ (V @ np.diag(lam) @ np.linalg.inv(V)).T)
+            model = build_spectral_model(op)
+            assert model.r == 6 - seed % 3
+            match_multisets(model.eigvals, lam[lam != 0].astype(complex), tol=1e-10)
+            A = dense(op)
+            np.testing.assert_allclose(model.left_vecs.T @ model.right_vecs, np.eye(model.r), atol=1e-10)
+            assert np.max(np.abs(model.left_vecs.T @ A - model.eigvals[:, None] * model.left_vecs.T)) <= 1e-10
+
     def test_real_eigenvalues_have_real_vectors(self):
         # the model file stores exact zeros for them, not inverse roundoff
         for seed in (8, 16):
