@@ -322,12 +322,10 @@ def error_sweep(
             continue
         for j, k in enumerate(ks):
             op = fit.operator(int(k))
-            if name == "optimal":
-                rep = error_report(op, data, closed_form_sq=fit.error_sq(int(k)))
+            rep = error_report(op, data, closed_form_sq=fit.error_sq(int(k)))
+            if rep.closed_form_error is not None:
                 closed[j] = rep.closed_form_error / norm_y if norm_y > 0 else 0.0
                 gap[j] = rep.closed_form_gap
-            else:
-                rep = error_report(op, data)
             errors[name][j] = rep.normalized
             flags[name][j] = ",".join(op.flags)
     return ErrorCurve(ks=ks, errors=errors, closed_form=closed, closed_form_gap=gap, flags=flags)

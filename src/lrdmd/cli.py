@@ -140,8 +140,7 @@ def cmd_fit(args) -> int:
     prov = _provenance(manifest, args.method, args.k)
     fit = SOLVERS[args.method](data)
     op = fit.operator(args.k)
-    cf_sq = fit.error_sq(args.k) if args.method == "optimal" else None
-    rep = error_report(op, data, closed_form_sq=cf_sq)
+    rep = error_report(op, data, closed_form_sq=fit.error_sq(args.k))
     lio.save_factored(out / "model-factored.json", op, prov)
     _say(
         args,

@@ -101,15 +101,15 @@ def thin_svd(M: np.ndarray) -> ThinSVD:
     return ThinSVD(U=U, S=S, V=V, transposed=transposed)
 
 
-def numerical_rank(svd: ThinSVD, rel_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above ``rel_tol`` times the largest.
+def numerical_rank(svd: ThinSVD) -> int:
+    """Number of singular values above ``DEFAULT_RANK_TOL`` times the largest.
 
     Returns 0 for the zero matrix.
     """
     s = svd.S
     if s.size == 0 or s[0] <= 0.0:
         return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    return int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
 
 
 def _recip_singular(svd: ThinSVD) -> np.ndarray:

@@ -151,9 +151,9 @@ def build_spectral_model(op: FactoredOperator) -> SpectralModel:
     Solves ``K W = W Lambda`` for ``K = Q^T P`` and keeps the eigenvalues above
     ``ZERO_EIG_TOL`` times the dominant modulus.  Sets ``zeta = P W`` and
     ``xi = Q W^{-T} Lambda^{-1}`` on the kept pairs, so ``xi^T zeta = I`` by
-    construction, also inside a repeated eigenspace.  When eigenvalues are
-    dropped, the left rows come from the kept invariant subspace alone
-    (``_kept_left_rows``), so a defective zero block is never inverted.  A
+    construction, also inside a repeated eigenspace.  The left rows always
+    come from the kept invariant subspace alone (``_kept_left_rows``), so a
+    defective zero block among the dropped eigenvalues is never inverted.  A
     near-defective kept eigenbasis triggers a ``DiagonalisabilityWarning`` and
     a flag but still returns the model; a numerically singular one raises
     ``PairingFailure``.
@@ -182,7 +182,7 @@ def build_spectral_model(op: FactoredOperator) -> SpectralModel:
     # W has unit columns, so left row i has norm 1 / |y_i^T w_i| for the unit left
     # eigenvector y_i; a pair with |y_i^T w_i| < 1e-12 makes W numerically singular.
     try:
-        W_inv = np.linalg.inv(W) if keep.all() else _kept_left_rows(K, lam, W_kept)
+        W_inv = _kept_left_rows(K, lam, W_kept)
     except np.linalg.LinAlgError:
         W_inv = np.full_like(W_kept.T, np.inf)
     worst = float(np.max(np.linalg.norm(W_inv, axis=1)))

@@ -2,8 +2,8 @@
 
 Given snapshot matrices X, Y (columns are consecutive state pairs), the
 problem is ``min ||Y - A X||_F  s.t.  rank(A) <= k``.  Each method is fitted
-once (``fit_optimal``, ``fit_truncated``, ``fit_projected``) and every k is
-then read off the fit as a column prefix:
+once, by ``fit_optimal``, ``fit_truncated`` or ``fit_projected``, into one
+``LowRankFit``, and every k is then read off that fit as a column prefix:
 
 * the exact closed-form minimiser from two thin SVDs: with
   ``X = U_x S_x V_x^T`` of numerical rank r and ``C = Y V_r = U s W^T``,
@@ -12,7 +12,8 @@ then read off the fit as a column prefix:
 * the two sub-optimal baselines it is benchmarked against: SVD truncation
   of the unconstrained solution ``Y X^+ = (Y V_r S_r^{-1}) U_r^T``, the same
   computation on C rescaled by ``S_r^{-1}``, and projected DMD
-  (companion-matrix assumption),
+  (companion-matrix assumption), the truncation of
+  ``B = U_x^T Y V_x = U_B S_B V_B^T`` with ``P_k = U_x U_B[:, :k]``,
 * the first-order optimality residual used as an independent check.
 
 All three methods start from the row space of X.  A ``SnapshotPair``
@@ -182,10 +183,12 @@ def _check_k(k: int, m: int) -> None:
 class LowRankFit:
     """One method fitted to one snapshot pair, answering every rank k at once.
 
-    The rank-k operator is the first ``min(k, rank)`` columns of
-    ``P = p_basis`` and ``Q = q_basis @ q_mix``, built per k so that it owns
-    them alone; a slice view would pin the whole n-by-rank factor.  ``s``,
-    ``leak_sq``: the optimal method's closed form.
+    Returned by all three methods (``fit_optimal``, ``fit_truncated``,
+    ``fit_projected``).  The rank-k operator is the first ``min(k, rank)``
+    columns of ``P = p_basis @ p_mix`` (``p_basis`` alone when ``p_mix`` is
+    None) and ``Q = q_basis @ q_mix``, built per k so that it owns them alone;
+    a slice view would pin the whole n-by-rank factor.  ``s``, ``leak_sq``:
+    the optimal method's closed form.
     """
 
     m: int
@@ -196,18 +199,21 @@ class LowRankFit:
     flags: tuple[str, ...] = ()
     s: np.ndarray | None = None
     leak_sq: float | None = None
+    p_mix: np.ndarray | None = None
 
     def operator(self, k: int) -> FactoredOperator:
         """Rank-k operator; fewer columns and "rank_deficient" when k exceeds ``rank``."""
         _check_k(k, self.m)
         keep = min(k, self.rank)
         flags = self.flags or (("rank_deficient",) if keep < k else ())
-        P = self.p_basis[:, :keep].copy()
+        P = self.p_basis[:, :keep].copy() if self.p_mix is None else audit.mm(self.p_basis, self.p_mix[:, :keep])
         return FactoredOperator(P=P, Q=audit.mm(self.q_basis, self.q_mix[:, :keep]), flags=flags)
 
-    def error_sq(self, k: int) -> float:
-        """Closed-form squared error ``sum(s[k:]^2) + leak_sq`` (optimal fits only)."""
+    def error_sq(self, k: int) -> float | None:
+        """Closed-form squared error ``sum(s[k:]^2) + leak_sq``; None for a fit without one."""
         _check_k(k, self.m)
+        if self.s is None:
+            return None
         return float(np.sum(self.s[k:] ** 2)) + self.leak_sq
 
 
@@ -248,37 +254,23 @@ def fit_truncated(data: SnapshotPair) -> LowRankFit:
     return LowRankFit(data.m, numerical_rank(svd_d), svd_d.left, svd_x.left[:, :r], svd_d.right * svd_d.S)
 
 
-@dataclass(frozen=True)
-class ProjectedFit:
-    """Projected DMD for every k: ``P = U_X`` whole and ``Q_k = U_X S_X^+ B_k^T``, B_k from the SVD of B."""
+def fit_projected(data: SnapshotPair) -> LowRankFit:
+    """Projected DMD for every k from the thin SVDs of X and ``B = U_X^T Y V_X = U_B S_B V_B^T``.
 
-    m: int
-    Ux: np.ndarray
-    inv_sx: np.ndarray  # S_X^+
-    svd_b: ThinSVD
-    flags: tuple[str, ...] = ()
-
-    def operator(self, k: int) -> FactoredOperator:
-        _check_k(k, self.m)
-        b, keep = self.svd_b, min(k, self.svd_b.S.size)
-        B_trunc = (b.left[:, :keep] * b.S[:keep]) @ b.right[:, :keep].T
-        return FactoredOperator(P=self.Ux, Q=audit.mm(self.Ux, self.inv_sx[:, None] * B_trunc.T), flags=self.flags)
-
-
-def fit_projected(data: SnapshotPair) -> ProjectedFit:
-    """Fit projected DMD once: thin SVDs of X and of ``B = U_X^T Y V_X``.
-
+    ``A_k = U_X B_k S_X^+ U_X^T`` for the rank-k truncation B_k of B, so
+    ``P_k = U_X U_B[:, :k]`` and ``Q_k = U_X S_X^+ V_B[:, :k] diag(S_B[:k])``.
     Exact when the data admits a companion matrix (columns of A X inside the
     span of X).  Rank-deficient X falls outside the method's assumption; the
     pseudo-inverse of S_X is used there and the operators are flagged.
     """
     if not np.any(data.X):
-        no_b = ThinSVD(U=np.zeros((0, 0)), S=np.zeros(0), V=np.zeros((0, 0)))
-        return ProjectedFit(data.m, np.zeros((data.n, 0)), np.zeros(0), no_b, ("degenerate_x", "rank_deficient_x"))
+        empty = np.zeros((data.n, 0))
+        return LowRankFit(data.m, 0, empty, empty, np.zeros((0, 0)), flags=("degenerate_x", "rank_deficient_x"))
     svd_x = data.svd_x
     flags = ("rank_deficient_x",) if numerical_rank(svd_x) < min(data.n, data.m) else ()
-    B = audit.mm(audit.mm(svd_x.left.T, data.Y), svd_x.right)
-    return ProjectedFit(data.m, svd_x.left, _recip_singular(svd_x), thin_svd(B), flags)
+    svd_b = thin_svd(audit.mm(audit.mm(svd_x.left.T, data.Y), svd_x.right))
+    Q_mix = _recip_singular(svd_x)[:, None] * svd_b.right * svd_b.S
+    return LowRankFit(data.m, svd_b.S.size, svd_x.left, svd_x.left, Q_mix, flags=flags, p_mix=svd_b.left)
 
 
 def unconstrained_solution(data: SnapshotPair) -> FactoredOperator:
@@ -315,8 +307,9 @@ def projected_dmd_baseline(data: SnapshotPair, k: int) -> FactoredOperator:
 def first_order_residual(op: FactoredOperator, data: SnapshotPair) -> float:
     """Relative residual of the stationarity condition ``X Y^T P = X X^T Q``.
 
-    Vanishes (to roundoff) for the optimal solver's output; generically
-    order-one for the sub-optimal baselines on rank-deficient data.
+    Vanishes (to roundoff) whenever ``Q^T = P^T Y X^+``, which holds for the
+    factors of all three methods: it certifies a stationary point, not the
+    minimum.
     """
     lhs = audit.mm(data.X, audit.mm(data.Y.T, op.P))
     rhs = audit.mm(data.X, audit.mm(data.X.T, op.Q))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import lrdmd
-from lrdmd.linalg import DEFAULT_RANK_TOL, numerical_rank, thin_svd
+from lrdmd.linalg import numerical_rank, thin_svd
 
 
 def dense(op: lrdmd.FactoredOperator) -> np.ndarray:
@@ -19,15 +19,28 @@ def dense(op: lrdmd.FactoredOperator) -> np.ndarray:
     return op.P @ op.Q.T
 
 
-def row_space_projector(svd_of_X: lrdmd.ThinSVD, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def row_space_projector(svd_of_X: lrdmd.ThinSVD) -> np.ndarray:
     """Orthogonal projector onto the span of the rows of X (an m-by-m matrix)."""
-    Vr = svd_of_X.right[:, : numerical_rank(svd_of_X, rel_tol)]
+    Vr = svd_of_X.right[:, : numerical_rank(svd_of_X)]
     return Vr @ Vr.T
 
 
-def compute_Z(data: lrdmd.SnapshotPair, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def compute_Z(data: lrdmd.SnapshotPair) -> np.ndarray:
     """``Z = Y @ (row-space projector of X)``; same shape as Y."""
-    return data.Y @ row_space_projector(thin_svd(data.X), rank_tol)
+    return data.Y @ row_space_projector(thin_svd(data.X))
+
+
+def projected_dmd_dense(data: lrdmd.SnapshotPair, k: int) -> np.ndarray:
+    """Projected DMD at rank k as the dense ``U_X B_k S_X^+ U_X^T``, B_k the rank-k truncation of ``U_X^T Y V_X``."""
+    assert data.n <= 200, "dense materialisation is a test-only path for small n"
+    svd_x = thin_svd(data.X)
+    r = numerical_rank(svd_x)
+    inv_sx = np.zeros_like(svd_x.S)
+    inv_sx[:r] = 1.0 / svd_x.S[:r]
+    Ux = svd_x.left
+    b = thin_svd(Ux.T @ data.Y @ svd_x.right)
+    B_k = (b.left[:, :k] * b.S[:k]) @ b.right[:, :k].T
+    return Ux @ (B_k * inv_sx) @ Ux.T
 
 
 def rel_close(a: float, b: float, rtol: float, floor: float = 0.0) -> bool:

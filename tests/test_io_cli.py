@@ -206,6 +206,12 @@ class TestCli:
         assert (out2 / "model-factored.json").exists()
         assert not (out2 / "model-spectral.json").exists()
 
+    def test_fit_projected_writes_k_columns(self, toy_ds, tmp_path, capsys):
+        out = tmp_path / "fit"
+        assert main(["fit", str(toy_ds), "--method", "projected", "--k", "3", "--out", str(out)]) == 0
+        assert "effective_rank=3 " in capsys.readouterr().out
+        assert json.loads((out / "model-factored.json").read_text())["dims"]["r"] == 3
+
     def test_parser_argument_sets(self):
         from lrdmd.cli import build_parser
 

@@ -90,14 +90,14 @@ class TestThinSVD:
 class TestNumericalRank:
     def test_known_values(self):
         svd = thin_svd(np.diag([3.0, 1.0, 0.0]))
-        assert numerical_rank(svd, 1e-12) == 2
+        assert numerical_rank(svd) == 2
 
     def test_zero_matrix(self):
-        assert numerical_rank(thin_svd(np.zeros((4, 3))), 1e-12) == 0
+        assert numerical_rank(thin_svd(np.zeros((4, 3)))) == 0
 
     def test_below_threshold(self):
         svd = thin_svd(np.diag([1.0, 1e-13]))
-        assert numerical_rank(svd, 1e-12) == 1
+        assert numerical_rank(svd) == 1
 
 
 class TestPinv:

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 import lrdmd
 
+from conftest import projected_dmd_dense
+
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, database=None)
 
 
@@ -93,3 +95,17 @@ def test_fit_prefix_equals_single_k_solve(data):
         np.testing.assert_array_equal(a.P, b.P)
         np.testing.assert_array_equal(a.Q, b.Q)
         assert fit.error_sq(k) == lrdmd.optimal_error_closed_form(data, k)
+
+
+@PROPERTY_SETTINGS
+@given(snapshot_pairs())
+def test_every_method_gives_rank_k_prefix_factors(data):
+    tol = 1e-10 * max(1.0, float(np.linalg.norm(data.Y)))
+    for name, solve in lrdmd.SOLVERS.items():
+        fit = solve(data)
+        for k in range(1, data.m + 1):
+            op = fit.operator(k)
+            assert op.r <= k
+            np.testing.assert_allclose(op.P.T @ op.P, np.eye(op.r), rtol=0, atol=1e-10)
+            if name == "projected":
+                np.testing.assert_allclose(op.P @ op.Q.T, projected_dmd_dense(data, k), rtol=0, atol=tol)

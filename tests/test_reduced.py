@@ -22,6 +22,8 @@ from lrdmd import (
     simulate_spectral,
 )
 from lrdmd import audit
+from lrdmd.linalg import eig_nonsymmetric
+from lrdmd.reduced import ZERO_EIG_TOL, _kept_left_rows
 
 from conftest import dense, match_multisets
 
@@ -335,6 +337,16 @@ class TestSpectralModel:
             A = dense(op)
             np.testing.assert_allclose(model.left_vecs.T @ model.right_vecs, np.eye(model.r), atol=1e-10)
             assert np.max(np.abs(model.left_vecs.T @ A - model.eigvals[:, None] * model.left_vecs.T)) <= 1e-10
+
+    def test_left_rows_are_the_inverse_when_nothing_is_dropped(self):
+        for seed in range(12):
+            op, _, _ = _random_optimal(seed, n=30, m=12, k=6)
+            K = op.Q.T @ op.P
+            eig = eig_nonsymmetric(K)
+            assert np.all(np.abs(eig.values) > ZERO_EIG_TOL * np.abs(eig.values).max())
+            W_inv = np.linalg.inv(eig.vectors)
+            rows = _kept_left_rows(K, eig.values, eig.vectors)
+            assert np.linalg.norm(rows - W_inv) <= 1e-12 * np.linalg.norm(W_inv)
 
     def test_real_eigenvalues_have_real_vectors(self):
         # the model file stores exact zeros for them, not inverse roundoff

@@ -10,6 +10,8 @@ from lrdmd import (
     SnapshotPair,
     error_report,
     first_order_residual,
+    fit_optimal,
+    fit_projected,
     fit_truncated,
     optimal_error_closed_form,
     optimal_lowrank,
@@ -18,6 +20,7 @@ from lrdmd import (
     unconstrained_solution,
 )
 from lrdmd.linalg import thin_svd
+from lrdmd.solver import LowRankFit
 
 from conftest import compute_Z, dense, random_instance, row_space_projector
 
@@ -325,6 +328,28 @@ class TestTruncatedBaseline:
             np.testing.assert_allclose(got, oracle, atol=1e-9 * max(1.0, s[0]))
 
 
+class TestLowRankFitContract:
+    def test_no_closed_form_for_the_baselines(self):
+        rng = np.random.default_rng(21)
+        data = SnapshotPair(X=rng.standard_normal((9, 5)), Y=rng.standard_normal((9, 5)))
+        assert fit_truncated(data).error_sq(1) is None
+        assert fit_projected(data).error_sq(1) is None
+        assert fit_optimal(data).error_sq(1) is not None
+
+    def test_every_method_returns_a_low_rank_fit(self):
+        rng = np.random.default_rng(22)
+        data = SnapshotPair(X=rng.standard_normal((9, 5)), Y=rng.standard_normal((9, 5)))
+        for solve in lrdmd.SOLVERS.values():
+            assert isinstance(solve(data), LowRankFit)
+
+    @pytest.mark.parametrize("method", ["optimal", "truncated", "projected"])
+    def test_wide_pair_beyond_n_is_rank_deficient(self, method):
+        rng = np.random.default_rng(23)
+        data = SnapshotPair(X=rng.standard_normal((4, 10)), Y=rng.standard_normal((4, 10)))
+        op = lrdmd.SOLVERS[method](data).operator(6)
+        assert op.r == 4 and op.flags == ("rank_deficient",)
+
+
 class TestProjectedBaseline:
     def test_k_equals_m_on_companion_data_matches_unconstrained(self, toy_datasets):
         # Only under the companion assumption does the k = m projected
@@ -391,11 +416,14 @@ class TestFirstOrderResidual:
         data = SnapshotPair(X=X, Y=rng.standard_normal((25, 12)))
         assert first_order_residual(truncated_baseline(data, 2), data) <= 1e-10
 
-    def test_projected_on_deficient_data_large(self):
+    def test_projected_is_a_stationary_point(self):
+        # The projected factors satisfy Q^T = P^T Y X^+ (P = U_X U_B[:, :k]
+        # orthonormal, spanning the range of A_k), so the stationarity
+        # condition holds on rank-deficient data as well.
         rng = np.random.default_rng(20)
         X = rng.standard_normal((25, 4)) @ rng.standard_normal((4, 12))
         data = SnapshotPair(X=X, Y=rng.standard_normal((25, 12)))
-        assert first_order_residual(projected_dmd_baseline(data, 2), data) > 1e-3
+        assert first_order_residual(projected_dmd_baseline(data, 2), data) <= 1e-10
 
 
 class TestDominance:
