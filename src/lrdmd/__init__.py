@@ -22,7 +22,6 @@ from .linalg import (
     ThinSVD,
     eig_nonsymmetric,
     numerical_rank,
-    pinv,
     thin_svd,
 )
 from .solver import (

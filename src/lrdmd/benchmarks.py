@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidInput, LrdmdError
-from .linalg import pinv, thin_svd
+from .linalg import numerical_rank, thin_svd
 from .rb import (
     RBConfig,
     InitCondition,
@@ -70,9 +70,10 @@ def gen_toy(cfg: ToyConfig) -> SnapshotPair:
 
     The underlying rank-r map is ``F = sum_i phi_i phi_i^T`` with standard
     normal phi_i.  Initial conditions are m independent standard normal
-    vectors (m trajectories of length 2).  Setting "i" replaces F by its
-    projection onto the snapshot span, ``Y = X (X^+ F X)``, which makes the
-    companion property A X = X A^c hold by construction; "ii" is the plain
+    vectors (m trajectories of length 2).  Setting "i" projects F X onto the
+    snapshot span, ``Y = X X^+ F X = U_r U_r^T F X`` (U_r the left singular
+    vectors of X above the rank cutoff), which makes the companion property
+    A X = X A^c hold by construction; "ii" is the plain
     linear map; "iii" adds the cubic term ``F diag(x)^2 x``.
     """
     rng = _rng(cfg.seed)
@@ -80,8 +81,9 @@ def gen_toy(cfg: ToyConfig) -> SnapshotPair:
     F = phi.T @ phi
     X = rng.standard_normal((cfg.n, cfg.m))
     if cfg.setting == "i":
-        Ac = pinv(thin_svd(X)) @ (F @ X)
-        Y = X @ Ac
+        svd = thin_svd(X)
+        Ur = svd.left[:, : numerical_rank(svd)]
+        Y = Ur @ (Ur.T @ (F @ X))
     elif cfg.setting == "ii":
         Y = F @ X
     else:

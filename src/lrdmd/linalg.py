@@ -1,10 +1,9 @@
 """Dense linear-algebra primitives with explicit rank and sign conventions.
 
 Everything downstream (solvers, reduced models, benchmarks) is built on the
-three operations here: thin SVD, pseudo-inverse and a small dense
-nonsymmetric eigensolver.  LAPACK (via numpy) does the heavy lifting; this
-module pins down the conventions LAPACK leaves open so that outputs are
-reproducible run to run:
+two operations here: thin SVD and a small dense nonsymmetric eigensolver.
+LAPACK (via numpy) does the heavy lifting; this module pins down the
+conventions LAPACK leaves open so that outputs are reproducible run to run:
 
 * one phase rule for singular and eigen vectors: each column is scaled so
   its largest-magnitude entry (lowest index on ties) is real and
@@ -110,22 +109,6 @@ def numerical_rank(svd: ThinSVD) -> int:
     if s.size == 0 or s[0] <= 0.0:
         return 0
     return int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
-
-
-def _recip_singular(svd: ThinSVD) -> np.ndarray:
-    r = numerical_rank(svd)
-    inv = np.zeros_like(svd.S)
-    inv[:r] = 1.0 / svd.S[:r]
-    return inv
-
-
-def pinv(svd: ThinSVD) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse ``V diag(1/sigma) U^T``.
-
-    Singular values at or below ``DEFAULT_RANK_TOL * sigma_1`` are treated as zero.
-    """
-    inv = _recip_singular(svd)
-    return (svd.right * inv) @ svd.left.T
 
 
 @dataclass(frozen=True)

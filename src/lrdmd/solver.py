@@ -10,16 +10,18 @@ once, by ``fit_optimal``, ``fit_truncated`` or ``fit_projected``, into one
   ``P_k = U[:, :k]``, ``Q_k = U_r S_r^{-1} W[:, :k] diag(s[:k])`` and
   squared error ``sum(s[k:]^2) + ||Y - C V_r^T||_F^2``,
 * the two sub-optimal baselines it is benchmarked against: SVD truncation
-  of the unconstrained solution ``Y X^+ = (Y V_r S_r^{-1}) U_r^T``, the same
-  computation on C rescaled by ``S_r^{-1}``, and projected DMD
-  (companion-matrix assumption), the truncation of
-  ``B = U_x^T Y V_x = U_B S_B V_B^T`` with ``P_k = U_x U_B[:, :k]``,
+  of the unconstrained solution ``Y X^+ = (C S_r^{-1}) U_r^T``, read from
+  the SVD of C and one r-by-r SVD, and projected DMD (companion-matrix
+  assumption), the truncation of ``B = U_x^T Y V_x = U_B S_B V_B^T`` with
+  ``P_k = U_x U_B[:, :k]``,
 * the first-order optimality residual used as an independent check.
 
 All three methods start from the row space of X.  A ``SnapshotPair``
-factors X once, on first use, and every fit of that pair (and so every
-single-k view and sweep) reads that one SVD.  Every rank decision uses the
-one cutoff ``linalg.DEFAULT_RANK_TOL``; no function here takes a tolerance.
+caches two factorisations, of X and of C, each on first use, and every fit
+of that pair (and so every single-k view and sweep) reads them: a pair
+takes those two tall SVDs however many fits read it.  Every rank decision
+uses the one cutoff ``linalg.DEFAULT_RANK_TOL``; no function here takes a
+tolerance.
 
 All operators are returned in factored form ``A = P Q^T`` with
 ``P, Q in R^{n x r}``; nothing here ever materialises an n-by-n array.
@@ -37,10 +39,15 @@ from .errors import InvalidInput, InvalidRank
 from .linalg import (
     DEFAULT_RANK_TOL,
     ThinSVD,
-    _recip_singular,
     numerical_rank,
     thin_svd,
 )
+
+
+def _read_only(svd: ThinSVD) -> ThinSVD:
+    for a in (svd.U, svd.S, svd.V):
+        a.flags.writeable = False
+    return svd
 
 
 @dataclass(frozen=True)
@@ -55,8 +62,11 @@ class SnapshotPair:
 
     A pair does not copy its arrays: X and Y are read-only views of the
     arrays passed in (float input is not converted), so the caller must not
-    change those arrays after construction.  ``svd_x``, the thin SVD of X,
-    is computed on first use and read by every fit of the pair.
+    change those arrays after construction.  Two factorisations are computed
+    on first use and read by every fit of the pair: ``svd_x``, the thin SVD
+    of X, and ``svd_c``, that of ``C = Y V_r`` with Y's energy outside the
+    row space of X.  Their arrays are read-only, and they hold two n-by-r
+    bases (U_x and C's left vectors) for the pair's lifetime.
     """
 
     X: np.ndarray
@@ -84,7 +94,24 @@ class SnapshotPair:
     @cached_property
     def svd_x(self) -> ThinSVD:
         """Thin SVD of X, shared by every fit of this pair."""
-        return thin_svd(self.X)
+        return _read_only(thin_svd(self.X))
+
+    @cached_property
+    def svd_c(self) -> tuple[ThinSVD, float]:
+        """Thin SVD of ``C = Y V_r`` and ``||Y - C V_r^T||_F^2``, shared by the optimal and truncated fits.
+
+        V_r holds the right singular vectors of X above the rank cutoff; the
+        second value is Y's energy outside the row space of X.
+        """
+        svd_x = self.svd_x
+        r = numerical_rank(svd_x)
+        Vr = svd_x.right[:, :r]
+        C = audit.mm(self.Y, Vr)
+        svd = thin_svd(C) if r else ThinSVD(U=C, S=np.zeros(0), V=np.zeros((0, 0)))
+        # From the residual: ||Y||^2 - ||C||^2 cancels.
+        leak = audit.mm(C, Vr.T)
+        np.subtract(self.Y, leak, out=leak)
+        return _read_only(svd), float(np.vdot(leak, leak))
 
     @property
     def n(self) -> int:
@@ -116,7 +143,8 @@ class FactoredOperator:
     ``flags`` records solver-side caveats ("rank_deficient" when the
     requested rank exceeded the data's numerical rank, "degenerate_x" for
     all-zero X, "rank_deficient_x" when projected DMD ran outside its
-    full-rank assumption).
+    full-rank assumption, "nonunique_at_k" when the rank-k truncation splits
+    tied singular values).
     """
 
     P: np.ndarray
@@ -179,6 +207,12 @@ def _check_k(k: int, m: int) -> None:
         raise InvalidRank(f"k must satisfy 1 <= k <= m={m}, got {k}")
 
 
+#: Relative gap ``(s[k-1] - s[k]) / s[0]`` at or below which the rank-k
+#: truncation splits a (numerically) repeated singular value, so that the
+#: rank-k operator is not unique and is flagged "nonunique_at_k".
+TIE_RTOL = 1e-10
+
+
 @dataclass(frozen=True)
 class LowRankFit:
     """One method fitted to one snapshot pair, answering every rank k at once.
@@ -187,8 +221,9 @@ class LowRankFit:
     ``fit_projected``).  The rank-k operator is the first ``min(k, rank)``
     columns of ``P = p_basis @ p_mix`` (``p_basis`` alone when ``p_mix`` is
     None) and ``Q = q_basis @ q_mix``, built per k so that it owns them alone;
-    a slice view would pin the whole n-by-rank factor.  ``s``, ``leak_sq``:
-    the optimal method's closed form.
+    a slice view would pin the whole n-by-rank factor.  ``s`` holds the
+    singular values whose prefix the fit takes (those of C, D or B), and
+    ``leak_sq`` the optimal method's closed-form floor.
     """
 
     m: int
@@ -196,62 +231,81 @@ class LowRankFit:
     p_basis: np.ndarray
     q_basis: np.ndarray
     q_mix: np.ndarray
+    s: np.ndarray
     flags: tuple[str, ...] = ()
-    s: np.ndarray | None = None
     leak_sq: float | None = None
     p_mix: np.ndarray | None = None
 
     def operator(self, k: int) -> FactoredOperator:
-        """Rank-k operator; fewer columns and "rank_deficient" when k exceeds ``rank``."""
+        """Rank-k operator; fewer columns and "rank_deficient" when k exceeds ``rank``.
+
+        Flagged "nonunique_at_k" when k splits singular values ``s[k-1]`` and
+        ``s[k]`` that agree to ``TIE_RTOL * s[0]``.
+        """
         _check_k(k, self.m)
         keep = min(k, self.rank)
         flags = self.flags or (("rank_deficient",) if keep < k else ())
+        if k < self.rank and self.s[k - 1] - self.s[k] <= TIE_RTOL * self.s[0]:
+            flags += ("nonunique_at_k",)
         P = self.p_basis[:, :keep].copy() if self.p_mix is None else audit.mm(self.p_basis, self.p_mix[:, :keep])
         return FactoredOperator(P=P, Q=audit.mm(self.q_basis, self.q_mix[:, :keep]), flags=flags)
 
     def error_sq(self, k: int) -> float | None:
         """Closed-form squared error ``sum(s[k:]^2) + leak_sq``; None for a fit without one."""
         _check_k(k, self.m)
-        if self.s is None:
+        if self.leak_sq is None:
             return None
         return float(np.sum(self.s[k:] ** 2)) + self.leak_sq
+
+
+def _degenerate_fit(data: SnapshotPair, *flags: str) -> LowRankFit:
+    empty = np.zeros((data.n, 0))
+    return LowRankFit(data.m, 0, empty, empty, np.zeros((0, 0)), np.zeros(0), flags=("degenerate_x", *flags))
+
+
+def _rank_against_y(s: np.ndarray, data: SnapshotPair) -> int:
+    """Singular values above ``DEFAULT_RANK_TOL * ||Y||_F``.
+
+    Measured against the matrix's own largest one, pure roundoff (Y's rows
+    orthogonal to the row space of X) would count.
+    """
+    return int(np.count_nonzero(s > DEFAULT_RANK_TOL * np.linalg.norm(data.Y)))
 
 
 def fit_optimal(data: SnapshotPair) -> LowRankFit:
     """The optimum for every k from the thin SVDs of X and ``C = Y V_r``, in O(m^2 (m + n)).
 
-    Formulas in the module docstring.  The fit's rank counts the singular
-    values of C above ``DEFAULT_RANK_TOL * ||Y||_F``: measured against C's own
-    largest one, pure roundoff (Y's rows orthogonal to the row space of X)
-    would count.
+    Formulas in the module docstring.  Both SVDs are the pair's cached ones,
+    so a further fit of the same pair costs O(r^2).  The fit's rank counts
+    the singular values of C above ``DEFAULT_RANK_TOL * ||Y||_F``.
     """
     svd_x = data.svd_x
-    r = numerical_rank(svd_x)
-    Vr = svd_x.right[:, :r]
-    C = audit.mm(data.Y, Vr)
-    svd_c = thin_svd(C) if r else ThinSVD(U=C, S=np.zeros(0), V=np.zeros((0, 0)))
-    # Y's energy outside the row space of X, from the residual: ||Y||^2 - ||C||^2 cancels.
-    leak = audit.mm(C, Vr.T)
-    np.subtract(data.Y, leak, out=leak)
+    svd_c, leak_sq = data.svd_c
+    r = svd_c.S.size
     Q_mix = svd_c.right * svd_c.S / svd_x.S[:r, None]
-    rank = int(np.count_nonzero(svd_c.S > DEFAULT_RANK_TOL * np.linalg.norm(data.Y)))
-    return LowRankFit(data.m, rank, svd_c.left, svd_x.left[:, :r], Q_mix, s=svd_c.S, leak_sq=float(np.vdot(leak, leak)))
+    return LowRankFit(
+        data.m, _rank_against_y(svd_c.S, data), svd_c.left, svd_x.left[:, :r], Q_mix, svd_c.S, leak_sq=leak_sq
+    )
 
 
 def fit_truncated(data: SnapshotPair) -> LowRankFit:
-    """SVD truncations of ``Y X^+`` for every k: ``fit_optimal``'s route on ``D = Y V_r S_r^{-1}``.
+    """SVD truncations of ``Y X^+`` for every k, from the pair's SVD of C and one r-by-r SVD.
 
-    ``Y X^+ = D U_r^T`` and U_r is orthonormal, so the thin SVD
-    ``D = U_D S_D V_D^T`` gives ``P_k = U_D[:, :k]`` and
-    ``Q_k = U_r V_D[:, :k] diag(S_D[:k])``; Y itself is never factored.
+    ``Y X^+ = D U_r^T`` with ``D = C S_r^{-1} = U_C M`` and the r-by-r
+    ``M = diag(s) W^T S_r^{-1} = U_M S_D V_M^T``, so ``D = (U_C U_M) S_D V_M^T``
+    and ``P_k = U_C U_M[:, :k]`` (orthonormal, a product of orthonormal
+    factors) and ``Q_k = U_r V_M[:, :k] diag(S_D[:k])``.  No n-row matrix
+    is factored beyond the pair's two cached SVDs.
     """
-    if not np.any(data.X):
-        empty = np.zeros((data.n, 0))
-        return LowRankFit(data.m, 0, empty, empty, np.zeros((0, 0)), flags=("degenerate_x",))
     svd_x = data.svd_x
     r = numerical_rank(svd_x)
-    svd_d = thin_svd(audit.scale(audit.mm(data.Y, svd_x.right[:, :r]), 1.0 / svd_x.S[:r]))
-    return LowRankFit(data.m, numerical_rank(svd_d), svd_d.left, svd_x.left[:, :r], svd_d.right * svd_d.S)
+    if r == 0:
+        return _degenerate_fit(data)
+    svd_c, _ = data.svd_c
+    svd_m = thin_svd(audit.scale(svd_c.S[:, None] * svd_c.right.T, 1.0 / svd_x.S[:r]))
+    return LowRankFit(
+        data.m, numerical_rank(svd_m), svd_c.left, svd_x.left[:, :r], svd_m.right * svd_m.S, svd_m.S, p_mix=svd_m.left
+    )
 
 
 def fit_projected(data: SnapshotPair) -> LowRankFit:
@@ -261,16 +315,21 @@ def fit_projected(data: SnapshotPair) -> LowRankFit:
     ``P_k = U_X U_B[:, :k]`` and ``Q_k = U_X S_X^+ V_B[:, :k] diag(S_B[:k])``.
     Exact when the data admits a companion matrix (columns of A X inside the
     span of X).  Rank-deficient X falls outside the method's assumption; the
-    pseudo-inverse of S_X is used there and the operators are flagged.
+    pseudo-inverse of S_X is used there and the operators are flagged.  The
+    fit's rank counts S_B against ``fit_optimal``'s cutoff.
     """
-    if not np.any(data.X):
-        empty = np.zeros((data.n, 0))
-        return LowRankFit(data.m, 0, empty, empty, np.zeros((0, 0)), flags=("degenerate_x", "rank_deficient_x"))
     svd_x = data.svd_x
-    flags = ("rank_deficient_x",) if numerical_rank(svd_x) < min(data.n, data.m) else ()
+    r = numerical_rank(svd_x)
+    if r == 0:
+        return _degenerate_fit(data, "rank_deficient_x")
+    flags = ("rank_deficient_x",) if r < min(data.n, data.m) else ()
     svd_b = thin_svd(audit.mm(audit.mm(svd_x.left.T, data.Y), svd_x.right))
-    Q_mix = _recip_singular(svd_x)[:, None] * svd_b.right * svd_b.S
-    return LowRankFit(data.m, svd_b.S.size, svd_x.left, svd_x.left, Q_mix, flags=flags, p_mix=svd_b.left)
+    inv_sx = np.zeros_like(svd_x.S)
+    inv_sx[:r] = 1.0 / svd_x.S[:r]
+    Q_mix = inv_sx[:, None] * svd_b.right * svd_b.S
+    return LowRankFit(
+        data.m, _rank_against_y(svd_b.S, data), svd_x.left, svd_x.left, Q_mix, svd_b.S, flags=flags, p_mix=svd_b.left
+    )
 
 
 def unconstrained_solution(data: SnapshotPair) -> FactoredOperator:

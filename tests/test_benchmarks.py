@@ -84,6 +84,13 @@ class TestGenToy:
         rel = np.linalg.norm(data.Y - data.X @ Ac) / np.linalg.norm(data.Y)
         assert rel <= 1e-8
 
+    def test_setting_i_projects_setting_ii_onto_span_of_x(self):
+        # Same seed, same F and X: setting i is X X^+ applied to setting ii's Y = F X.
+        a, b = gen_toy(ToyConfig(setting="i", seed=4)), gen_toy(ToyConfig(setting="ii", seed=4))
+        assert a.X.tobytes() == b.X.tobytes()
+        oracle = a.X @ (np.linalg.pinv(a.X, rcond=1e-12) @ b.Y)
+        assert np.linalg.norm(a.Y - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
     def test_setting_i_projected_matches_optimal(self, toy_datasets):
         data = toy_datasets["i"]
         ny = np.linalg.norm(data.Y)

@@ -84,13 +84,14 @@ class TestUnconstrained:
 class TestOneFactorisationOfX:
     @staticmethod
     def _count_svds(monkeypatch, data: SnapshotPair) -> dict[str, int]:
-        """Tally the solver's thin SVDs taken of ``data.X`` and of ``data.Y``."""
-        seen = {"X": 0, "Y": 0}
+        """Tally the solver's thin SVDs taken of ``data.X``, of ``data.Y`` and of any n-row matrix."""
+        seen = {"X": 0, "Y": 0, "n_rows": 0}
         svd = lrdmd.solver.thin_svd
 
         def counting(M):
             seen["X"] += M is data.X
             seen["Y"] += M is data.Y
+            seen["n_rows"] += M.shape[0] == data.n
             return svd(M)
 
         monkeypatch.setattr(lrdmd.solver, "thin_svd", counting)
@@ -106,6 +107,31 @@ class TestOneFactorisationOfX:
         projected_dmd_baseline(data, 3)
         lrdmd.error_sweep(data, range(1, 13))
         assert seen["X"] == 1
+        assert seen["n_rows"] == 2  # X and C = Y V_r, however many fits read them
+
+    @pytest.mark.parametrize("case", ["tall", "deficient_x", "wide_x", "zero_x", "zero_y"])
+    def test_refit_reuses_both_factorisations(self, case):
+        from lrdmd import audit
+
+        rng = np.random.default_rng(35)
+        n, m = (8, 20) if case == "wide_x" else (40, 12)
+        X, Y = rng.standard_normal((n, m)), rng.standard_normal((n, m))
+        if case == "deficient_x":
+            X = rng.standard_normal((n, 3)) @ rng.standard_normal((3, m))
+        elif case == "zero_x":
+            X = np.zeros((n, m))
+        elif case == "zero_y":
+            Y = np.zeros((n, m))
+        data = SnapshotPair(X=X, Y=Y)
+        for fit in (fit_optimal, fit_truncated):
+            first = fit(data)
+            with audit.tally() as t:
+                again = fit(data)
+            assert t.multiply_adds < n * m
+            for k in (1, m):
+                np.testing.assert_array_equal(again.operator(k).P, first.operator(k).P)
+                np.testing.assert_array_equal(again.operator(k).Q, first.operator(k).Q)
+        assert optimal_error_closed_form(data, 1) == pytest.approx(optimal_lowrank(data, 1).residual_fro(data) ** 2)
 
     @pytest.mark.parametrize("shape", [(30, 12), (8, 20)])
     def test_truncated_never_factors_y(self, monkeypatch, shape):
@@ -125,6 +151,20 @@ class TestOneFactorisationOfX:
         for k in range(1, rho + 1):
             oracle = (U[:, :k] * s[:k]) @ Vt[:k]
             np.testing.assert_allclose(dense(truncated_baseline(data, k)), oracle, atol=1e-9 * s[0])
+
+    def test_cached_factors_are_read_only_and_operators_own_theirs(self):
+        rng = np.random.default_rng(36)
+        data = SnapshotPair(X=rng.standard_normal((9, 5)), Y=rng.standard_normal((9, 5)))
+        for a in (*vars(data.svd_x).values(), *vars(data.svd_c[0]).values()):
+            if isinstance(a, np.ndarray):
+                assert not a.flags.writeable
+        for name, solve in lrdmd.SOLVERS.items():
+            fit = solve(data)
+            with pytest.raises(ValueError):
+                fit.p_basis[0, 0] = 1.0
+            op = fit.operator(3)
+            for M in (op.P, op.Q):
+                assert M.flags.owndata and M.flags.writeable, name
 
     def test_arrays_are_read_only_views_of_the_callers(self):
         rng = np.random.default_rng(34)
@@ -350,6 +390,24 @@ class TestLowRankFitContract:
         assert op.r == 4 and op.flags == ("rank_deficient",)
 
 
+class TestNonuniqueAtK:
+    @pytest.mark.parametrize("method", ["optimal", "truncated", "projected"])
+    def test_flag_at_the_split_of_a_tied_pair_only(self, method):
+        # X has orthonormal columns, so C, D and B all have singular values 3, 2, 2, 1.
+        rng = np.random.default_rng(37)
+        X, _ = np.linalg.qr(rng.standard_normal((6, 4)))
+        U, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        V, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        data = SnapshotPair(X=X, Y=X @ ((U * [3.0, 2.0, 2.0, 1.0]) @ V.T))
+        fit = lrdmd.SOLVERS[method](data)
+        assert [fit.operator(k).flags for k in range(1, 5)] == [(), ("nonunique_at_k",), (), ()]
+
+    def test_rb_iv_truncated_tie(self):
+        # sigma_9 and sigma_10 of D agree to 4.9e-12 of sigma_1 on rb-iv (seed 1).
+        fit = fit_truncated(lrdmd.gen_physical("iv", seed=1))
+        assert [fit.operator(k).flags for k in (8, 9, 10)] == [(), ("nonunique_at_k",), ()]
+
+
 class TestProjectedBaseline:
     def test_k_equals_m_on_companion_data_matches_unconstrained(self, toy_datasets):
         # Only under the companion assumption does the k = m projected
@@ -385,6 +443,14 @@ class TestProjectedBaseline:
             e_proj = projected_dmd_baseline(data, k).residual_fro(data) / ny
             ratios.append(e_proj / max(e_opt, 1e-300))
         assert max(ratios) > 1.1
+
+    def test_rank_counts_against_norm_of_y(self):
+        # B has numerical rank 2; its roundoff directions must not count as rank.
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((30, 10))
+        data = SnapshotPair(X=X, Y=rng.standard_normal((30, 2)) @ rng.standard_normal((2, 10)))
+        op = projected_dmd_baseline(data, 5)
+        assert op.r == 2 and op.flags == ("rank_deficient",)
 
     def test_rank_deficient_x_flag(self):
         rng = np.random.default_rng(17)
