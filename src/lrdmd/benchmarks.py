@@ -82,7 +82,7 @@ def gen_toy(cfg: ToyConfig) -> SnapshotPair:
     X = rng.standard_normal((cfg.n, cfg.m))
     if cfg.setting == "i":
         svd = thin_svd(X)
-        Ur = svd.left[:, : numerical_rank(svd)]
+        Ur = svd.U[:, : numerical_rank(svd)]
         Y = Ur @ (Ur.T @ (F @ X))
     elif cfg.setting == "ii":
         Y = F @ X
@@ -133,7 +133,7 @@ def physical_config(setting: str) -> RBConfig:
     return RBConfig(sigma=1.0, nu=0.0 if setting in ("iv", "v") else 6000.0)
 
 
-def gen_physical(setting: str, seed: int, cfg: RBConfig | None = None) -> SnapshotPair:
+def gen_physical(setting: str, seed: int) -> SnapshotPair:
     """Convection snapshot pair for setting iv), v) or vi) (m = 50, n = 1024).
 
     Initial-condition parameters are drawn per trajectory from a 10-dim unit
@@ -144,8 +144,7 @@ def gen_physical(setting: str, seed: int, cfg: RBConfig | None = None) -> Snapsh
     the Taylor-vortex degeneracy (a_b = 2*pi, kappa_b = 1/(sigma (pi a_b)^2)).
     The N trajectories of a setting are stepped together in one simulator call.
     """
-    if cfg is None:
-        cfg = physical_config(setting)
+    cfg = physical_config(setting)
     N, T = PHYSICAL_LAYOUT[setting]
     rng = _rng(seed)
     S1, S2 = cell_mesh(cfg.grid)
@@ -227,7 +226,7 @@ def gen_spectral_truth(base: SpectralModel, N: int, T: int, seed: int) -> Snapsh
     return SnapshotPair.from_trajectories(trajectories)
 
 
-def spectral_ground_truth(seed: int, cfg: RBConfig | None = None):
+def spectral_ground_truth(seed: int):
     """Build the rank-3 generator of the noise study from the nonlinear dataset.
 
     Returns ``(base_model, data)``: the eigentriples extracted at k = 3 from
@@ -235,7 +234,7 @@ def spectral_ground_truth(seed: int, cfg: RBConfig | None = None):
     """
     from .reduced import build_spectral_model  # local import to avoid a cycle
 
-    vi = gen_physical("vi", seed, cfg)
+    vi = gen_physical("vi", seed)
     op = optimal_lowrank(vi, 3)
     base = build_spectral_model(op)
     data = gen_spectral_truth(base, N=5, T=11, seed=seed + 1)

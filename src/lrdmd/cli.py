@@ -69,18 +69,6 @@ def _say(args, *parts) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _scheme_metadata(cfg) -> dict:
-    return {
-        "space": "pseudo-spectral, periodic s1, odd extension (sine modes) in s2",
-        "dealias": "2/3 rule",
-        "time": "explicit RK4",
-        "dt": cfg.dt,
-        "sample_stride": cfg.sample_stride,
-        "grid": list(cfg.grid),
-        "poisson_gauge": "zero mode of inverse Laplacian set to 0",
-    }
-
-
 def cmd_generate(args) -> int:
     name = args.generator
     out = Path(args.out)
@@ -94,21 +82,20 @@ def cmd_generate(args) -> int:
     elif name.startswith("rb-"):
         setting = name.split("-", 1)[1]
         cfg = physical_config(setting)
-        data = gen_physical(setting, seed, cfg)
+        data = gen_physical(setting, seed)
         manifest["config"] = dataclasses.asdict(cfg)
-        manifest["scheme"] = _scheme_metadata(cfg)
+        manifest["scheme"] = cfg.scheme()
     else:  # spectral-vii / spectral-viii
         cfg = physical_config("vi")
-        truth, data = spectral_ground_truth(seed, cfg)
+        truth, data = spectral_ground_truth(seed)
         manifest["config"] = dataclasses.asdict(cfg)
-        manifest["scheme"] = _scheme_metadata(cfg)
+        manifest["scheme"] = cfg.scheme()
         manifest["base_model"] = {"fitted_from": "rb-vi", "k": 3, "seed": seed}
     psnr = 20.0 if name == "spectral-viii" and args.psnr is None else args.psnr
     if psnr is not None:
         data = add_noise_psnr(data, psnr, seed + 2)
         if psnr != np.inf:  # +inf adds no noise, so the manifest is the one written without --psnr
             manifest["psnr_db"] = psnr
-    manifest.update({"n": data.n, "m": data.m, "N": data.n_traj, "T": data.traj_len})
     lio.write_dataset(out, data, manifest)
     if truth is not None:
         lio.save_spectral(out / "truth-spectral.json", truth, {"role": "ground truth", "seed": seed})

@@ -5,9 +5,11 @@ rows of 17-significant-digit decimals, which round-trips float64 exactly.
 Each row is written by one ``%`` format (CSV files are streamed row by row)
 and the whole body is read by one ``np.loadtxt``; only the row and column
 counts are checked line by line, and ``#`` is an invalid value, not a comment.
-Datasets are directories (manifest.json, X.csv, Y.csv); models are single
+Datasets are directories (manifest.json, X.csv, Y.csv), and the manifest's
+layout fields n, m, N, T are written here from the pair.  Models are single
 JSON files embedding their matrices as CSV-format text blocks (complex
-matrices split into _re/_im blocks).
+matrices split into _re/_im blocks); one writer and one reader lay out all
+three kinds.
 """
 
 from __future__ import annotations
@@ -44,7 +46,10 @@ def matrix_to_block(M: np.ndarray) -> str:
 
 
 def block_to_matrix(text: str) -> np.ndarray:
-    """Inverse of ``matrix_to_block``; blank lines are skipped and nothing is read as a comment."""
+    """Inverse of ``matrix_to_block``; blank lines are skipped and nothing is read as a comment.
+
+    A ``rows,0`` block is its header alone (its rows are empty lines) and reads as a (rows, 0) array.
+    """
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise InvalidInput("empty matrix block")
@@ -52,14 +57,16 @@ def block_to_matrix(text: str) -> np.ndarray:
         rows, cols = (int(p) for p in lines[0].split(","))
     except ValueError as exc:
         raise InvalidInput(f"bad matrix header {lines[0]!r}") from exc
+    if rows < 0 or cols < 0:
+        raise InvalidInput(f"bad matrix header {lines[0]!r}")
     body = lines[1:]
+    if not body and rows * cols == 0:
+        return np.empty((rows, cols))
     if len(body) != rows:
         raise InvalidInput(f"expected {rows} data rows, found {len(body)}")
     for i, ln in enumerate(body):
         if ln.count(",") != cols - 1:
             raise InvalidInput(f"row {i} has {ln.count(',') + 1} values, expected {cols}")
-    if not body:
-        return np.empty((0, cols))
     try:
         # max_rows lets loadtxt allocate the result once instead of growing it.
         return np.loadtxt(body, delimiter=",", comments=None, ndmin=2, max_rows=rows).reshape(rows, cols)
@@ -101,9 +108,11 @@ def manifest_hash(manifest: dict) -> str:
 
 
 def write_dataset(directory: Path | str, data: SnapshotPair, manifest: dict) -> None:
+    """Write manifest.json, X.csv and Y.csv; the manifest gains the pair's layout ``n``, ``m``, ``N``, ``T``."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    (d / MANIFEST_NAME).write_text(dump_json(manifest))
+    layout = {"n": data.n, "m": data.m, "N": data.n_traj, "T": data.traj_len}
+    (d / MANIFEST_NAME).write_text(dump_json({**manifest, **layout}))
     write_matrix_csv(d / X_NAME, data.X)
     write_matrix_csv(d / Y_NAME, data.Y)
 
@@ -122,62 +131,48 @@ def read_dataset(directory: Path | str) -> tuple[SnapshotPair, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _complex_blocks(name: str, M: np.ndarray) -> dict[str, str]:
-    return {
-        f"{name}_re": matrix_to_block(M.real),
-        f"{name}_im": matrix_to_block(M.imag),
+def _save_model(path: Path | str, kind: str, model, flags, provenance: dict, **arrays: np.ndarray) -> None:
+    """Write ``model``'s document; each complex array goes in as a ``<name>_re`` and a ``<name>_im`` block."""
+    blocks = {}
+    for name, M in arrays.items():
+        if np.iscomplexobj(M):
+            blocks[f"{name}_re"], blocks[f"{name}_im"] = matrix_to_block(M.real), matrix_to_block(M.imag)
+        else:
+            blocks[name] = matrix_to_block(M)
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        "dims": {"n": model.n, "r": model.r},
+        "flags": list(flags),
+        "provenance": provenance,
+        "blocks": blocks,
     }
+    Path(path).write_text(dump_json(doc))
 
 
-def _complex_from_blocks(blocks: dict[str, str], name: str) -> np.ndarray:
-    # Parts are assigned, not summed as re + 1j * im, which loses the sign of zeros and turns inf into nan.
-    out = block_to_matrix(blocks[f"{name}_re"]).astype(complex)
-    out.imag = block_to_matrix(blocks[f"{name}_im"])
-    return out
+def _read_blocks(blocks: dict[str, str]) -> dict[str, np.ndarray]:
+    """The named arrays of a model document, each ``<name>_re``/``<name>_im`` pair joined into one."""
+    arrays = {name: block_to_matrix(text) for name, text in blocks.items()}
+    for re_name in [name for name in arrays if name.endswith("_re")]:
+        name = re_name[:-3]
+        # Parts are assigned, not summed as re + 1j * im, which loses the sign of zeros and turns inf into nan.
+        out = arrays.pop(re_name).astype(complex)
+        out.imag = arrays.pop(f"{name}_im")
+        arrays[name] = out
+    return arrays
 
 
 def save_factored(path: Path | str, op: FactoredOperator, provenance: dict) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "factored",
-        "dims": {"n": op.n, "r": op.r},
-        "flags": list(op.flags),
-        "provenance": provenance,
-        "blocks": {"P": matrix_to_block(op.P), "Q": matrix_to_block(op.Q)},
-    }
-    Path(path).write_text(dump_json(doc))
+    _save_model(path, "factored", op, op.flags, provenance, P=op.P, Q=op.Q)
 
 
 def save_reduced(path: Path | str, model: ReducedModel, provenance: dict) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "reduced",
-        "dims": {"n": model.n, "r": model.r},
-        "flags": [],
-        "provenance": provenance,
-        "blocks": {
-            "L": matrix_to_block(model.L),
-            "R": matrix_to_block(model.R),
-            "S": matrix_to_block(model.S),
-        },
-    }
-    Path(path).write_text(dump_json(doc))
+    _save_model(path, "reduced", model, (), provenance, L=model.L, R=model.R, S=model.S)
 
 
 def save_spectral(path: Path | str, model: SpectralModel, provenance: dict) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "spectral",
-        "dims": {"n": model.n, "r": model.r},
-        "flags": list(model.flags),
-        "provenance": provenance,
-        "blocks": {
-            **_complex_blocks("eigvals", model.eigvals.reshape(1, -1)),
-            **_complex_blocks("zeta", model.right_vecs),
-            **_complex_blocks("xi", model.left_vecs),
-        },
-    }
-    Path(path).write_text(dump_json(doc))
+    arrays = {"eigvals": model.eigvals, "zeta": model.right_vecs, "xi": model.left_vecs}
+    _save_model(path, "spectral", model, model.flags, provenance, **arrays)
 
 
 def load_model(path: Path | str):
@@ -186,27 +181,14 @@ def load_model(path: Path | str):
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise InvalidInput(f"unsupported schema version {doc.get('schema_version')}")
     kind = doc.get("kind")
-    blocks = doc.get("blocks", {})
-    prov = doc.get("provenance", {})
+    a = _read_blocks(doc.get("blocks", {}))
+    flags = tuple(doc.get("flags", []))
     if kind == "factored":
-        obj = FactoredOperator(
-            P=block_to_matrix(blocks["P"]),
-            Q=block_to_matrix(blocks["Q"]),
-            flags=tuple(doc.get("flags", [])),
-        )
+        obj = FactoredOperator(P=a["P"], Q=a["Q"], flags=flags)
     elif kind == "reduced":
-        obj = ReducedModel(
-            L=block_to_matrix(blocks["L"]),
-            R=block_to_matrix(blocks["R"]),
-            S=block_to_matrix(blocks["S"]),
-        )
+        obj = ReducedModel(L=a["L"], R=a["R"], S=a["S"])
     elif kind == "spectral":
-        obj = SpectralModel(
-            eigvals=_complex_from_blocks(blocks, "eigvals").ravel(),
-            right_vecs=_complex_from_blocks(blocks, "zeta"),
-            left_vecs=_complex_from_blocks(blocks, "xi"),
-            flags=tuple(doc.get("flags", [])),
-        )
+        obj = SpectralModel(eigvals=a["eigvals"].ravel(), right_vecs=a["zeta"], left_vecs=a["xi"], flags=flags)
     else:
         raise InvalidInput(f"unknown model kind {kind!r}")
-    return obj, kind, prov
+    return obj, kind, doc.get("provenance", {})

@@ -8,8 +8,7 @@ conventions LAPACK leaves open so that outputs are reproducible run to run:
 * one phase rule for singular and eigen vectors: each column is scaled so
   its largest-magnitude entry (lowest index on ties) is real and
   non-negative, the right singular vectors following the left ones;
-* singular values descending; wide matrices (more columns than rows)
-  factored through their transpose, recorded by a ``transposed`` flag;
+* singular values descending;
 * eigenvalues ordered by descending modulus, the member of a conjugate pair
   with positive imaginary part first, eigenvectors the unit-norm columns
   LAPACK returns;
@@ -57,30 +56,11 @@ def _fix_phase(M: np.ndarray, *followers: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class ThinSVD:
-    """Thin SVD ``M = U diag(S) V^T`` of a p-by-q matrix with p >= q.
-
-    For a wide input (p < q) the factorization is taken of the transpose and
-    ``transposed`` is set; ``left``/``right`` below always refer to the
-    original matrix regardless.
-    """
+    """Thin SVD ``M = U diag(S) V^T`` of a p-by-q matrix, with min(p, q) singular values."""
 
     U: np.ndarray
     S: np.ndarray
     V: np.ndarray
-    transposed: bool = False
-
-    @property
-    def left(self) -> np.ndarray:
-        """Left singular vectors of the original matrix."""
-        return self.V if self.transposed else self.U
-
-    @property
-    def right(self) -> np.ndarray:
-        """Right singular vectors of the original matrix."""
-        return self.U if self.transposed else self.V
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.S) @ self.right.T
 
 
 def thin_svd(M: np.ndarray) -> ThinSVD:
@@ -90,14 +70,12 @@ def thin_svd(M: np.ndarray) -> ThinSVD:
     non-finite entries.
     """
     M = _require_matrix(M)
-    transposed = M.shape[0] < M.shape[1]
-    work = M.T if transposed else M
-    U, S, Vt = np.linalg.svd(work, full_matrices=False)
+    U, S, Vt = np.linalg.svd(M, full_matrices=False)
     # U is copied although LAPACK's own buffer would do: keeping that buffer raised the peak
     # RSS of a 20000x200 fit-and-simulate run by 24 MiB, through glibc's adaptive mmap threshold.
     U, V = U.copy(), Vt.T.copy()
     _fix_phase(U, V)
-    return ThinSVD(U=U, S=S, V=V, transposed=transposed)
+    return ThinSVD(U=U, S=S, V=V)
 
 
 def numerical_rank(svd: ThinSVD) -> int:

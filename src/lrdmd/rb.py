@@ -61,11 +61,21 @@ class RBConfig:
     grid: tuple[int, int] = (16, 32)
     dt: float = 1e-4
     sample_stride: int = 100
-    seed: int = 0
 
     @property
     def n(self) -> int:
         return 2 * self.grid[0] * self.grid[1]
+
+    def scheme(self) -> dict:
+        """The discretisation this configuration runs, as recorded in dataset manifests."""
+        return {
+            "space": "sine series in s2 (q = 1..n2-1), rfft half spectrum in s1, transforms applied as GEMMs",
+            "dealias": "2/3 rule",
+            "time": "explicit RK4",
+            "dt": self.dt,
+            "sample_stride": self.sample_stride,
+            "grid": list(self.grid),
+        }
 
 
 @dataclass(frozen=True)

@@ -69,12 +69,6 @@ class ReducedModel:
     def n(self) -> int:
         return self.R.shape[0]
 
-    def operator_power_apply(self, t: int, theta: np.ndarray) -> np.ndarray:
-        """``A^t theta`` through the reduced recursion (t >= 0)."""
-        if t == 0:
-            return np.asarray(theta, dtype=float).copy()
-        return self.R @ _latent_path(self.L.T @ theta, lambda z: self.S @ z, t)[-1]
-
 
 @dataclass(frozen=True)
 class SpectralModel:

@@ -105,7 +105,7 @@ class SnapshotPair:
         """
         svd_x = self.svd_x
         r = numerical_rank(svd_x)
-        Vr = svd_x.right[:, :r]
+        Vr = svd_x.V[:, :r]
         C = audit.mm(self.Y, Vr)
         svd = thin_svd(C) if r else ThinSVD(U=C, S=np.zeros(0), V=np.zeros((0, 0)))
         # From the residual: ||Y||^2 - ||C||^2 cancels.
@@ -237,14 +237,14 @@ class LowRankFit:
     p_mix: np.ndarray | None = None
 
     def operator(self, k: int) -> FactoredOperator:
-        """Rank-k operator; fewer columns and "rank_deficient" when k exceeds ``rank``.
+        """Rank-k operator; fewer columns and "rank_deficient", after the fit's own flags, when k exceeds ``rank``.
 
         Flagged "nonunique_at_k" when k splits singular values ``s[k-1]`` and
         ``s[k]`` that agree to ``TIE_RTOL * s[0]``.
         """
         _check_k(k, self.m)
         keep = min(k, self.rank)
-        flags = self.flags or (("rank_deficient",) if keep < k else ())
+        flags = self.flags + (("rank_deficient",) if keep < k else ())
         if k < self.rank and self.s[k - 1] - self.s[k] <= TIE_RTOL * self.s[0]:
             flags += ("nonunique_at_k",)
         P = self.p_basis[:, :keep].copy() if self.p_mix is None else audit.mm(self.p_basis, self.p_mix[:, :keep])
@@ -282,9 +282,9 @@ def fit_optimal(data: SnapshotPair) -> LowRankFit:
     svd_x = data.svd_x
     svd_c, leak_sq = data.svd_c
     r = svd_c.S.size
-    Q_mix = svd_c.right * svd_c.S / svd_x.S[:r, None]
+    Q_mix = svd_c.V * svd_c.S / svd_x.S[:r, None]
     return LowRankFit(
-        data.m, _rank_against_y(svd_c.S, data), svd_c.left, svd_x.left[:, :r], Q_mix, svd_c.S, leak_sq=leak_sq
+        data.m, _rank_against_y(svd_c.S, data), svd_c.U, svd_x.U[:, :r], Q_mix, svd_c.S, leak_sq=leak_sq
     )
 
 
@@ -302,9 +302,9 @@ def fit_truncated(data: SnapshotPair) -> LowRankFit:
     if r == 0:
         return _degenerate_fit(data)
     svd_c, _ = data.svd_c
-    svd_m = thin_svd(audit.scale(svd_c.S[:, None] * svd_c.right.T, 1.0 / svd_x.S[:r]))
+    svd_m = thin_svd(audit.scale(svd_c.S[:, None] * svd_c.V.T, 1.0 / svd_x.S[:r]))
     return LowRankFit(
-        data.m, numerical_rank(svd_m), svd_c.left, svd_x.left[:, :r], svd_m.right * svd_m.S, svd_m.S, p_mix=svd_m.left
+        data.m, numerical_rank(svd_m), svd_c.U, svd_x.U[:, :r], svd_m.V * svd_m.S, svd_m.S, p_mix=svd_m.U
     )
 
 
@@ -323,12 +323,12 @@ def fit_projected(data: SnapshotPair) -> LowRankFit:
     if r == 0:
         return _degenerate_fit(data, "rank_deficient_x")
     flags = ("rank_deficient_x",) if r < min(data.n, data.m) else ()
-    svd_b = thin_svd(audit.mm(audit.mm(svd_x.left.T, data.Y), svd_x.right))
+    svd_b = thin_svd(audit.mm(audit.mm(svd_x.U.T, data.Y), svd_x.V))
     inv_sx = np.zeros_like(svd_x.S)
     inv_sx[:r] = 1.0 / svd_x.S[:r]
-    Q_mix = inv_sx[:, None] * svd_b.right * svd_b.S
+    Q_mix = inv_sx[:, None] * svd_b.V * svd_b.S
     return LowRankFit(
-        data.m, _rank_against_y(svd_b.S, data), svd_x.left, svd_x.left, Q_mix, svd_b.S, flags=flags, p_mix=svd_b.left
+        data.m, _rank_against_y(svd_b.S, data), svd_x.U, svd_x.U, Q_mix, svd_b.S, flags=flags, p_mix=svd_b.U
     )
 
 

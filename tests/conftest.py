@@ -21,7 +21,7 @@ def dense(op: lrdmd.FactoredOperator) -> np.ndarray:
 
 def row_space_projector(svd_of_X: lrdmd.ThinSVD) -> np.ndarray:
     """Orthogonal projector onto the span of the rows of X (an m-by-m matrix)."""
-    Vr = svd_of_X.right[:, : numerical_rank(svd_of_X)]
+    Vr = svd_of_X.V[:, : numerical_rank(svd_of_X)]
     return Vr @ Vr.T
 
 
@@ -37,9 +37,9 @@ def projected_dmd_dense(data: lrdmd.SnapshotPair, k: int) -> np.ndarray:
     r = numerical_rank(svd_x)
     inv_sx = np.zeros_like(svd_x.S)
     inv_sx[:r] = 1.0 / svd_x.S[:r]
-    Ux = svd_x.left
-    b = thin_svd(Ux.T @ data.Y @ svd_x.right)
-    B_k = (b.left[:, :k] * b.S[:k]) @ b.right[:, :k].T
+    Ux = svd_x.U
+    b = thin_svd(Ux.T @ data.Y @ svd_x.V)
+    B_k = (b.U[:, :k] * b.S[:k]) @ b.V[:, :k].T
     return Ux @ (B_k * inv_sx) @ Ux.T
 
 

@@ -39,7 +39,7 @@ _EDGE = [-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1.7976931348623157e308, -1.797693
 
 
 class TestMatrixCsv:
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 13), (13, 1), (13, 13), (40, 7)])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 13), (13, 1), (13, 13), (40, 7), (3, 0)])
     def test_codec_matches_per_value_oracle(self, shape):
         rng = np.random.default_rng(shape[0] * 100 + shape[1])
         M = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
@@ -82,6 +82,8 @@ class TestMatrixCsv:
             ("1,2\n1.0,2.0\n3.0,4.0\n", "expected 1 data rows, found 2"),
             ("2;2\n1.0,2.0\n3.0,4.0\n", "bad matrix header"),
             ("  \n\n", "empty matrix block"),
+            ("1,0\n1.0\n", "row 0 has 1 values, expected 0"),
+            ("-1,0\n", "bad matrix header"),
         ],
     )
     def test_malformed_blocks_rejected(self, text, message):
@@ -398,6 +400,18 @@ class TestCli:
         lio.write_dataset(tmp_path / "ds", data, {"schema_version": 1, "generator": "rank-12"})
         assert main(["verify", str(tmp_path / "ds"), "--k", "20"]) == 0
         assert "rank-bound: ok (effective_rank=12 bound=12)" in capsys.readouterr().out
+
+    def test_rank_zero_models_round_trip(self, tmp_path):
+        # Y = 0: every model has r = 0, its n x 0 blocks written as a header and empty rows.
+        X = np.random.default_rng(4).standard_normal((8, 5))
+        lio.write_dataset(tmp_path / "ds", lrdmd.SnapshotPair(X=X, Y=np.zeros((8, 5))), {"schema_version": 1})
+        assert main(["fit", str(tmp_path / "ds"), "--k", "2", "--out", str(tmp_path / "fit"), "--quiet"]) == 0
+        for kind in ("factored", "reduced", "spectral"):
+            out = tmp_path / f"{kind}.csv"
+            argv = ["simulate", str(tmp_path / "fit" / f"model-{kind}.json"), "--dataset", str(tmp_path / "ds")]
+            assert main(argv + ["--column", "0", "--steps", "3", "--out", str(out), "--quiet"]) == 0
+            states = lio.read_matrix_csv(out)
+            assert states.shape == (3, 8) and not np.any(states[1:])
 
     @pytest.mark.parametrize("kind", ["factored", "reduced", "spectral"])
     def test_simulate_blowup_exit3(self, kind, tmp_path, capsys):

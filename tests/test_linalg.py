@@ -34,19 +34,22 @@ class TestThinSVD:
         svd = thin_svd(M)
         np.testing.assert_allclose(svd.U.T @ svd.U, np.eye(5), atol=1e-10)
         np.testing.assert_allclose(svd.V.T @ svd.V, np.eye(5), atol=1e-10)
-        err = np.linalg.norm(svd.reconstruct() - M) / np.linalg.norm(M)
+        err = np.linalg.norm((svd.U * svd.S) @ svd.V.T - M) / np.linalg.norm(M)
         assert err <= 1e-10
         assert np.all(np.diff(svd.S) <= 0) and np.all(svd.S >= 0)
 
-    def test_wide_input_transposed(self):
-        rng = np.random.default_rng(1)
-        M = rng.standard_normal((4, 9))
-        svd = thin_svd(M)
-        assert svd.transposed
-        assert svd.S.size == 4
-        assert svd.left.shape == (4, 4) and svd.right.shape == (9, 4)
-        err = np.linalg.norm(svd.reconstruct() - M) / np.linalg.norm(M)
-        assert err <= 1e-10
+    def test_wide_input(self):
+        # Factored as given: the phase rule fixes the left vectors, as for tall input.
+        for seed in (1, 3):
+            M = np.random.default_rng(seed).standard_normal((4, 9))
+            svd = thin_svd(M)
+            assert svd.S.size == 4
+            assert svd.U.shape == (4, 4) and svd.V.shape == (9, 4)
+            err = np.linalg.norm((svd.U * svd.S) @ svd.V.T - M) / np.linalg.norm(M)
+            assert err <= 1e-10
+            for j in range(4):
+                i = int(np.argmax(np.abs(svd.U[:, j])))
+                assert svd.U[i, j] >= 0
 
     def test_sign_convention(self):
         rng = np.random.default_rng(2)
@@ -83,7 +86,7 @@ class TestThinSVD:
             p, q = int(rng.integers(1, 30)), int(rng.integers(1, 30))
             M = rng.standard_normal((p, q)) * 10.0 ** rng.integers(-3, 4)
             svd = thin_svd(M)
-            assert np.linalg.norm(svd.reconstruct() - M) <= 1e-10 * max(np.linalg.norm(M), 1e-30)
+            assert np.linalg.norm((svd.U * svd.S) @ svd.V.T - M) <= 1e-10 * max(np.linalg.norm(M), 1e-30)
 
 
 class TestNumericalRank:
@@ -102,7 +105,7 @@ class TestNumericalRank:
 def column_space_projector(M: np.ndarray) -> np.ndarray:
     """``M M^+`` the way ``gen_toy`` setting i forms it: ``U_r U_r^T`` from ``thin_svd``."""
     svd = thin_svd(M)
-    Ur = svd.left[:, : numerical_rank(svd)]
+    Ur = svd.U[:, : numerical_rank(svd)]
     return Ur @ Ur.T
 
 

@@ -267,7 +267,7 @@ class TestOptimal:
         # C = Y V_r is pure roundoff here; none of its directions is rank.
         rng = np.random.default_rng(0)
         X = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 10))
-        V3 = thin_svd(X).right[:, :3]
+        V3 = thin_svd(X).V[:, :3]
         Y = rng.standard_normal((30, 10)) @ (np.eye(10) - V3 @ V3.T)
         op = optimal_lowrank(SnapshotPair(X=X, Y=Y), 2)
         assert "rank_deficient" in op.flags
@@ -323,7 +323,7 @@ class TestClosedFormError:
         data = SnapshotPair(X=X, Y=Y)
         svd_x, svd_y = thin_svd(X), thin_svd(Y)
         rank_x = int(np.sum(svd_x.S > 1e-12 * svd_x.S[0]))
-        vx, vy, sy = svd_x.right, svd_y.right, svd_y.S
+        vx, vy, sy = svd_x.V, svd_y.V, svd_y.S
         second = sum(
             sy[j] ** 2 * float(vx[:, i] @ vy[:, j]) ** 2
             for i in range(rank_x, 9)
@@ -388,6 +388,21 @@ class TestLowRankFitContract:
         data = SnapshotPair(X=rng.standard_normal((4, 10)), Y=rng.standard_normal((4, 10)))
         op = lrdmd.SOLVERS[method](data).operator(6)
         assert op.r == 4 and op.flags == ("rank_deficient",)
+
+    def test_own_flags_compose_with_rank_deficient(self):
+        # All-zero X: each baseline keeps its own flags and adds "rank_deficient" past its rank 0.
+        data = SnapshotPair(X=np.zeros((6, 4)), Y=np.random.default_rng(24).standard_normal((6, 4)))
+        assert fit_truncated(data).operator(2).flags == ("degenerate_x", "rank_deficient")
+        assert fit_projected(data).operator(2).flags == ("degenerate_x", "rank_deficient_x", "rank_deficient")
+        assert fit_optimal(data).operator(2).flags == ("rank_deficient",)
+
+    def test_rb_iv_projected_past_its_rank(self):
+        # X of rb-iv (seed 1) has numerical rank 12 < m = 50, so projected DMD runs outside its assumption.
+        fit = fit_projected(lrdmd.gen_physical("iv", seed=1))
+        assert fit.operator(12).flags == ("rank_deficient_x",)
+        for k in (13, 50):
+            op = fit.operator(k)
+            assert op.r == 12 and op.flags == ("rank_deficient_x", "rank_deficient")
 
 
 class TestNonuniqueAtK:
