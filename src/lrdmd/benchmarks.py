@@ -279,7 +279,10 @@ def add_noise_psnr(data: SnapshotPair, psnr_db: float, seed: int) -> SnapshotPai
 
 @dataclass
 class ErrorCurve:
-    """Normalised errors per (method, k); failed cells hold NaN plus a flag."""
+    """Normalised errors per (method, k); failed cells hold NaN plus a flag.
+
+    Each cell's flags are one string, the operator's flags joined by ";".
+    """
 
     ks: np.ndarray
     errors: dict[str, np.ndarray]
@@ -328,5 +331,5 @@ def error_sweep(
                 closed[j] = rep.closed_form_error / norm_y if norm_y > 0 else 0.0
                 gap[j] = rep.closed_form_gap
             errors[name][j] = rep.normalized
-            flags[name][j] = ",".join(op.flags)
+            flags[name][j] = ";".join(op.flags)
     return ErrorCurve(ks=ks, errors=errors, closed_form=closed, closed_form_gap=gap, flags=flags)

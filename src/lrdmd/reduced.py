@@ -14,7 +14,11 @@ All three simulators (these two and the factored operator itself) share one
 path: the whole latent path is computed first in r-space at O(T r^2), and the
 n-space states are then written into the (T, n) output by one real GEMM per
 block of ``LIFT_BLOCK`` rows.  A matrix-vector product per step would re-read
-the n-by-r decoder for every state it writes.
+the n-by-r decoder for every state it writes.  The spectral lift is real and
+r columns wide: an exactly conjugate pair of modes shares the two columns
+``[Re zeta, Im zeta]`` and a mode with a real vector takes one.  The output is
+written once and never read back: a bound computed in r-space proves each
+lifted row finite, and only the rows it cannot certify are checked.
 
 Note on the first construction: for ``A = P Q^T`` with orthonormal P, the
 recursion that reproduces A-powers exactly is the one that encodes with Q
@@ -46,6 +50,11 @@ DEFECTIVE_COND = 1e8
 #: audited product, so the tally's largest array stays LIFT_BLOCK x n however
 #: long the horizon.
 LIFT_BLOCK = 128
+
+#: A lifted row whose bound ``b_t = sum_j max_i |basis_ij| |path_tj|`` is at
+#: most this is finite by construction: each GEMM entry is a sum of r products,
+#: each at most b_t in size, so no partial sum reaches the overflow threshold.
+CERTIFIED_BOUND = np.finfo(float).max / 4
 
 
 @dataclass(frozen=True)
@@ -95,19 +104,14 @@ class SpectralModel:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Finite states stacked row-wise: ``states[t-1]`` is the state at time t."""
+    """States stacked row-wise: ``states[t-1]`` is the state at time t.
+
+    A plain container.  The simulators guarantee finite states: they raise
+    ``SimulationBlowup`` at the first non-finite one instead of returning.
+    """
 
     states: np.ndarray
     max_imag_residue: float | None = None
-
-    def __post_init__(self):
-        # One pass of row sums: an inf or nan makes its row's sum non-finite.
-        # A sum can also overflow on finite entries, so candidates are confirmed.
-        with np.errstate(over="ignore", invalid="ignore"):
-            sums = self.states.sum(axis=1)
-        for t in np.flatnonzero(~np.isfinite(sums)):
-            if not np.all(np.isfinite(self.states[t])):
-                raise SimulationBlowup(int(t))
 
     @property
     def T(self) -> int:
@@ -202,7 +206,7 @@ def _checked(theta: np.ndarray, n: int, T: int) -> np.ndarray:
 def _latent_path(z: np.ndarray, step, count: int) -> np.ndarray:
     """Rows ``z, step(z), step(step(z)), ...``: the first ``count`` latent states."""
     path = np.empty((count, z.size), dtype=z.dtype)
-    path[0] = z
+    path[:1] = z
     for t in range(1, count):
         path[t] = step(path[t - 1])
     # A decaying path passes through the subnormal range, where the few rows holding subnormal
@@ -212,10 +216,27 @@ def _latent_path(z: np.ndarray, step, count: int) -> np.ndarray:
     return path
 
 
+def _raise_first_nonfinite(out: np.ndarray, rows) -> None:
+    for t in rows:
+        if not np.all(np.isfinite(out[t])):
+            raise SimulationBlowup(int(t))
+
+
 def _lift(basis: np.ndarray, path: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out[t] = basis @ path[t]`` for every row, one GEMM per ``LIFT_BLOCK`` rows written in place."""
+    """``out[s + t] = basis @ path[t]`` for ``s = len(out) - len(path)``, one GEMM per ``LIFT_BLOCK`` rows.
+
+    Every row of ``out`` is then finite, or ``SimulationBlowup`` names the
+    first that is not.  The first s rows are the caller's and are checked
+    before the lift.  A lifted row whose r-space bound is at most
+    ``CERTIFIED_BOUND`` is finite by construction; only the other rows (a
+    nan or inf bound among them) are read back.
+    """
+    s = out.shape[0] - path.shape[0]
+    _raise_first_nonfinite(out, range(s))
     for lo in range(0, path.shape[0], LIFT_BLOCK):
-        audit.mm(path[lo : lo + LIFT_BLOCK], basis.T, out=out[lo : lo + LIFT_BLOCK])
+        audit.mm(path[lo : lo + LIFT_BLOCK], basis.T, out=out[s + lo : s + lo + LIFT_BLOCK])
+    bound = audit.mm(np.abs(path), np.max(np.abs(basis), axis=0, initial=0.0))
+    _raise_first_nonfinite(out, s + np.flatnonzero(~(bound <= CERTIFIED_BOUND)))
     return out
 
 
@@ -224,10 +245,8 @@ def _simulate_factors(encoder: np.ndarray, S: np.ndarray, decoder: np.ndarray, t
     theta = _checked(theta, decoder.shape[0], T)
     out = np.empty((T, theta.size))
     out[0] = theta
-    if T > 1:
-        path = _latent_path(audit.mm(encoder.T, theta), lambda z: audit.mm(S, z), T - 1)
-        _lift(decoder, path, out[1:])
-    return Trajectory(states=out)
+    path = _latent_path(audit.mm(encoder.T, theta), lambda z: audit.mm(S, z), T - 1)
+    return Trajectory(states=_lift(decoder, path, out))
 
 
 def simulate_reduced(model: ReducedModel, theta: np.ndarray, T: int) -> Trajectory:
@@ -235,29 +254,60 @@ def simulate_reduced(model: ReducedModel, theta: np.ndarray, T: int) -> Trajecto
     return _simulate_factors(model.L, model.S, model.R, theta, T)
 
 
+def _conjugate_groups(lam: np.ndarray, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Modes with a real vector, and the other modes i each with their partner j (``r`` when there is none).
+
+    j partners i when ``lam_j == conj(lam_i)`` and ``zeta_j == conj(zeta_i)`` exactly.
+    """
+    r = lam.size
+    real = ~np.any(zeta.imag, axis=0)
+    taken = real.copy()
+    first, partner = [], []
+    for i in range(r):
+        if taken[i]:
+            continue
+        taken[i] = True
+        candidates = np.flatnonzero(~taken & (lam == np.conj(lam[i])))
+        j = next((j for j in candidates if np.array_equal(zeta[:, j], np.conj(zeta[:, i]))), r)
+        if j < r:
+            taken[j] = True
+        first.append(i)
+        partner.append(j)
+    return np.flatnonzero(real), np.array(first, dtype=int), np.array(partner, dtype=int)
+
+
 def simulate_spectral(model: SpectralModel, theta: np.ndarray, T: int) -> Trajectory:
     """Run the diagonal recursion ``x_t = sum_i zeta_i lambda_i^{t-1} xi_i^T theta``.
 
-    O(rn) per step.  The output is real (the imaginary residue of the
-    conjugate-pair sums is measured, reported on the trajectory and
-    discarded).  At t = 1 the formula returns theta projected onto the
-    model's invariant subspace, not theta itself.
+    O(rn) per step.  The output is ``Re(sum_i zeta_i c_i)`` for every model;
+    the imaginary residue is measured, reported on the trajectory and
+    discarded.  At t = 1 the formula returns theta projected onto the model's
+    invariant subspace, not theta itself.
     """
     theta = _checked(theta, model.n, T)
     # c_t = lambda^{t-1} * nu by repeated products: a complex power adds imaginary roundoff.
     coeff = _latent_path(audit.mm(model.left_vecs.T, theta), lambda c: audit.scale(c, model.eigvals), T)
-    # B = [Re zeta_1, Im zeta_1, ...] as one real n-by-2r view: Re(zeta c) = B [Re c; -Im c] and
-    # Im(zeta c) = B [Im c; Re c], both interleaved per mode like B's columns.
-    B = np.ascontiguousarray(model.right_vecs, dtype=complex).view(float)
-    re_path = coeff.conj().view(float)
-    out = _lift(B, re_path, np.empty((T, model.n)))
-    # ||B v|| = ||R v|| for the triangular factor of B: the residue costs O(r^2) per step.
-    R = np.linalg.qr(B, mode="r")
-    re = np.linalg.norm(audit.mm(re_path, R.T), axis=1)
-    im = np.linalg.norm(audit.mm((1j * coeff.conj()).view(float), R.T), axis=1)
-    nrm = np.hypot(re, im)
-    live = nrm > 0
-    return Trajectory(states=out, max_imag_residue=float(np.max(im[live] / nrm[live], initial=0.0)))
+    zeta = model.right_vecs
+    real, first, partner = _conjugate_groups(model.eigvals, zeta)
+    # Real basis [Re zeta_real, Re zeta_first, Im zeta_first]; a missing partner reads as a zero coefficient.
+    # For zeta_j = conj(zeta_i): Re(zeta_i c_i + zeta_j c_j) = Re zeta_i (Re c_i + Re c_j) + Im zeta_i (Im c_j - Im c_i)
+    # and Im(zeta_i c_i + zeta_j c_j) = Re zeta_i (Im c_i + Im c_j) + Im zeta_i (Re c_i - Re c_j).
+    re, im = (np.pad(part, ((0, 0), (0, 1))) for part in (coeff.real, coeff.imag))
+    out_coeff = np.hstack([re[:, real], re[:, first] + re[:, partner], im[:, partner] - im[:, first]])
+    imag_coeff = np.hstack([im[:, real], im[:, first] + im[:, partner], re[:, first] - re[:, partner]])
+    basis = np.hstack([zeta.real[:, real], zeta.real[:, first], zeta.imag[:, first]])
+    out = _lift(basis, out_coeff, np.empty((T, model.n)))
+    # ||basis v|| = ||R v|| for the triangular factor of the basis: the residue costs O(r^2) per step.
+    R = np.linalg.qr(basis, mode="r")
+    re_part, im_part = audit.mm(out_coeff, R.T), audit.mm(imag_coeff, R.T)
+    # The residue is a ratio, so each row is first scaled by its largest entry: the norm of a state
+    # above about 1e154 would overflow.
+    top = np.maximum(np.max(np.abs(re_part), axis=1, initial=0.0), np.max(np.abs(im_part), axis=1, initial=0.0))
+    live = top > 0
+    re_norm = np.linalg.norm(re_part[live] / top[live, None], axis=1)
+    im_norm = np.linalg.norm(im_part[live] / top[live, None], axis=1)
+    residue = float(np.max(im_norm / np.hypot(re_norm, im_norm), initial=0.0))
+    return Trajectory(states=out, max_imag_residue=residue)
 
 
 def apply_operator(op: FactoredOperator, x: np.ndarray) -> np.ndarray:

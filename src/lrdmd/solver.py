@@ -17,11 +17,12 @@ once, by ``fit_optimal``, ``fit_truncated`` or ``fit_projected``, into one
 * the first-order optimality residual used as an independent check.
 
 All three methods start from the row space of X.  A ``SnapshotPair``
-caches two factorisations, of X and of C, each on first use, and every fit
-of that pair (and so every single-k view and sweep) reads them: a pair
-takes those two tall SVDs however many fits read it.  Every rank decision
-uses the one cutoff ``linalg.DEFAULT_RANK_TOL``; no function here takes a
-tolerance.
+caches three factorisations, of X, of C and of the m-by-m B, each on first
+use, and every fit of that pair (and so every single-k view and sweep) reads
+them: a pair takes two tall SVDs and one n-row product ``U_x^T Y`` however
+many fits read it, and a refit of any method costs O(m^2) past them.  Every
+rank decision uses the one cutoff ``linalg.DEFAULT_RANK_TOL``; no function
+here takes a tolerance.
 
 All operators are returned in factored form ``A = P Q^T`` with
 ``P, Q in R^{n x r}``; nothing here ever materialises an n-by-n array.
@@ -62,11 +63,14 @@ class SnapshotPair:
 
     A pair does not copy its arrays: X and Y are read-only views of the
     arrays passed in (float input is not converted), so the caller must not
-    change those arrays after construction.  Two factorisations are computed
-    on first use and read by every fit of the pair: ``svd_x``, the thin SVD
-    of X, and ``svd_c``, that of ``C = Y V_r`` with Y's energy outside the
-    row space of X.  Their arrays are read-only, and they hold two n-by-r
-    bases (U_x and C's left vectors) for the pair's lifetime.
+    change those arrays after construction.  Three factorisations are
+    computed on first use and read by every fit of the pair: ``svd_x``, the
+    thin SVD of X, ``svd_c``, that of ``C = Y V_r`` with Y's energy outside
+    the row space of X, and ``svd_b``, that of the m-by-m
+    ``B = U_x^T Y V_x``.  Their arrays are read-only, and they hold two
+    n-by-r bases (U_x and C's left vectors) for the pair's lifetime.
+    ``norm_y`` caches ``||Y||_F`` the same way, so a refit reads neither X
+    nor Y.
     """
 
     X: np.ndarray
@@ -112,6 +116,17 @@ class SnapshotPair:
         leak = audit.mm(C, Vr.T)
         np.subtract(self.Y, leak, out=leak)
         return _read_only(svd), float(np.vdot(leak, leak))
+
+    @cached_property
+    def svd_b(self) -> ThinSVD:
+        """Thin SVD of the m-by-m ``B = (U_x^T Y) V_x``, read by the projected fit."""
+        svd_x = self.svd_x
+        return _read_only(thin_svd(audit.mm(audit.mm(svd_x.U.T, self.Y), svd_x.V)))
+
+    @cached_property
+    def norm_y(self) -> float:
+        """``||Y||_F``, the scale of the fits' rank cutoff."""
+        return float(np.linalg.norm(self.Y))
 
     @property
     def n(self) -> int:
@@ -269,7 +284,7 @@ def _rank_against_y(s: np.ndarray, data: SnapshotPair) -> int:
     Measured against the matrix's own largest one, pure roundoff (Y's rows
     orthogonal to the row space of X) would count.
     """
-    return int(np.count_nonzero(s > DEFAULT_RANK_TOL * np.linalg.norm(data.Y)))
+    return int(np.count_nonzero(s > DEFAULT_RANK_TOL * data.norm_y))
 
 
 def fit_optimal(data: SnapshotPair) -> LowRankFit:
@@ -277,14 +292,17 @@ def fit_optimal(data: SnapshotPair) -> LowRankFit:
 
     Formulas in the module docstring.  Both SVDs are the pair's cached ones,
     so a further fit of the same pair costs O(r^2).  The fit's rank counts
-    the singular values of C above ``DEFAULT_RANK_TOL * ||Y||_F``.
+    the singular values of C above ``DEFAULT_RANK_TOL * ||Y||_F``.  All-zero
+    X is flagged "degenerate_x" and keeps the closed form
+    ``error_sq(k) = ||Y||_F^2``.
     """
     svd_x = data.svd_x
     svd_c, leak_sq = data.svd_c
     r = svd_c.S.size
     Q_mix = svd_c.V * svd_c.S / svd_x.S[:r, None]
+    flags = () if r else ("degenerate_x",)
     return LowRankFit(
-        data.m, _rank_against_y(svd_c.S, data), svd_c.U, svd_x.U[:, :r], Q_mix, svd_c.S, leak_sq=leak_sq
+        data.m, _rank_against_y(svd_c.S, data), svd_c.U, svd_x.U[:, :r], Q_mix, svd_c.S, flags=flags, leak_sq=leak_sq
     )
 
 
@@ -309,21 +327,22 @@ def fit_truncated(data: SnapshotPair) -> LowRankFit:
 
 
 def fit_projected(data: SnapshotPair) -> LowRankFit:
-    """Projected DMD for every k from the thin SVDs of X and ``B = U_X^T Y V_X = U_B S_B V_B^T``.
+    """Projected DMD for every k from the pair's thin SVDs of X and ``B = U_X^T Y V_X = U_B S_B V_B^T``.
 
     ``A_k = U_X B_k S_X^+ U_X^T`` for the rank-k truncation B_k of B, so
     ``P_k = U_X U_B[:, :k]`` and ``Q_k = U_X S_X^+ V_B[:, :k] diag(S_B[:k])``.
     Exact when the data admits a companion matrix (columns of A X inside the
     span of X).  Rank-deficient X falls outside the method's assumption; the
     pseudo-inverse of S_X is used there and the operators are flagged.  The
-    fit's rank counts S_B against ``fit_optimal``'s cutoff.
+    fit's rank counts S_B against ``fit_optimal``'s cutoff.  Both SVDs are
+    the pair's cached ones, so a further fit costs O(m^2).
     """
     svd_x = data.svd_x
     r = numerical_rank(svd_x)
     if r == 0:
         return _degenerate_fit(data, "rank_deficient_x")
     flags = ("rank_deficient_x",) if r < min(data.n, data.m) else ()
-    svd_b = thin_svd(audit.mm(audit.mm(svd_x.U.T, data.Y), svd_x.V))
+    svd_b = data.svd_b
     inv_sx = np.zeros_like(svd_x.S)
     inv_sx[:r] = 1.0 / svd_x.S[:r]
     Q_mix = inv_sx[:, None] * svd_b.V * svd_b.S

@@ -19,6 +19,21 @@ def dense(op: lrdmd.FactoredOperator) -> np.ndarray:
     return op.P @ op.Q.T
 
 
+def loop_spectral(model, theta, T):
+    """Step-by-step reference: x_t = Re(zeta c_t), c_t = lambda^{t-1} xi^T theta; also the imaginary residue."""
+    out = np.empty((T, model.n))
+    coeff = model.left_vecs.T @ theta.astype(complex)
+    residue = 0.0
+    for t in range(T):
+        x = model.right_vecs @ coeff
+        nrm = np.linalg.norm(x)
+        if nrm > 0:
+            residue = max(residue, np.linalg.norm(x.imag) / nrm)
+        out[t] = x.real
+        coeff = coeff * model.eigvals
+    return out, residue
+
+
 def row_space_projector(svd_of_X: lrdmd.ThinSVD) -> np.ndarray:
     """Orthogonal projector onto the span of the rows of X (an m-by-m matrix)."""
     Vr = svd_of_X.V[:, : numerical_rank(svd_of_X)]

@@ -1,6 +1,7 @@
 """Persistence round-trips and the command-line surface (exit-code contract)."""
 
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -284,6 +285,25 @@ class TestCli:
         assert main(["sweep", str(toy_ds), "--k-range", "1:40", "--out", str(out2), "--quiet"]) == 0
         assert (out / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
         assert (out / "sweep.svg").read_bytes() == (out2 / "sweep.svg").read_bytes()
+
+    def test_sweep_flags_stay_in_one_column(self, tmp_path):
+        # X of rank 3 and Y = F X: projected DMD runs outside its assumption and its rank is 3 < k
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((10, 3)) @ rng.standard_normal((3, 6))
+        data = lrdmd.SnapshotPair(X=X, Y=rng.standard_normal((10, 10)) @ X)
+        lio.write_dataset(tmp_path / "ds", data, {"schema_version": 1})
+        out = tmp_path / "sw"
+        assert main(["sweep", str(tmp_path / "ds"), "--k-range", "all", "--out", str(out), "--quiet"]) == 0
+        with open(out / "sweep.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["k", "method", "normalized_error", "closed_form_error", "flags"]
+        assert len(rows) - 1 == 6 * 3 and all(len(row) == 5 for row in rows)
+        flags = {(row[0], row[1]): row[4] for row in rows[1:]}
+        assert [flags[str(k), "projected"] for k in (3, 4, 6)] == [
+            "rank_deficient_x",
+            "rank_deficient_x;rank_deficient",
+            "rank_deficient_x;rank_deficient",
+        ]
 
     def test_simulate_reduced_vs_spectral_agree(self, toy_ds, tmp_path, capsys):
         fit = tmp_path / "fit"

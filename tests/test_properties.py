@@ -2,15 +2,19 @@
 
 Each example draws a shape, ranks for X and Y (rank-deficient included) and
 a seed; the matrices themselves come from numpy's generator on that seed.
+The real spectral lift is checked the same way on drawn spectral models.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lrdmd
 
-from conftest import projected_dmd_dense
+from lrdmd.reduced import _conjugate_groups
+
+from conftest import loop_spectral, projected_dmd_dense
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, database=None)
 
@@ -109,3 +113,63 @@ def test_every_method_gives_rank_k_prefix_factors(data):
             np.testing.assert_allclose(op.P.T @ op.P, np.eye(op.r), rtol=0, atol=1e-10)
             if name == "projected":
                 np.testing.assert_allclose(op.P @ op.Q.T, projected_dmd_dense(data, k), rtol=0, atol=tol)
+
+
+@st.composite
+def spectral_models(draw):
+    """A spectral model of real modes, exactly conjugate pairs and lone complex modes, in shuffled order.
+
+    Returns the model and the width of its real lift.  With ``perturb`` the
+    partner vector of the first pair is moved by one ulp, so that pair no
+    longer shares two columns; with ``closed_xi`` the left vectors are
+    conjugate-closed too, and the states are real up to roundoff.
+    """
+    n_real, n_pairs, n_lone = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    perturb, closed_xi = draw(st.booleans()) and n_pairs > 0, draw(st.booleans())
+    r = n_real + 2 * n_pairs + n_lone
+    n = 2 * r + 1 + draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def cvec():
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    def cval():
+        return rng.uniform(0.5, 1.0) * np.exp(1j * rng.uniform(0.1, 3.0))
+
+    lam, zeta, xi = [], [], []
+    for _ in range(n_real):
+        lam.append(rng.uniform(-1.0, 1.0) + 0j)
+        zeta.append(rng.standard_normal(n) + 0j)
+        xi.append(cvec() if not closed_xi else rng.standard_normal(n) + 0j)
+    for _ in range(n_pairs):
+        mu, z, w = cval(), cvec(), cvec()
+        lam += [mu, np.conj(mu)]
+        zeta += [z, np.conj(z)]
+        xi += [w, np.conj(w) if closed_xi else cvec()]
+    for _ in range(n_lone):
+        lam.append(cval())
+        zeta.append(cvec())
+        xi.append(cvec())
+    if perturb:
+        partner = zeta[n_real + 1]
+        partner[0] = np.nextafter(partner[0].real, np.inf) + 1j * partner[0].imag
+    order = rng.permutation(r)
+    model = lrdmd.SpectralModel(
+        eigvals=np.array(lam, dtype=complex)[order],
+        right_vecs=np.array(zeta, dtype=complex).reshape(r, n).T[:, order],
+        left_vecs=np.array(xi, dtype=complex).reshape(r, n).T[:, order],
+    )
+    return model, n_real + 2 * (n_pairs + n_lone) + (2 if perturb else 0)
+
+
+@PROPERTY_SETTINGS
+@given(spectral_models(), st.integers(1, 25), st.integers(0, 2**32 - 1))
+def test_real_spectral_lift_matches_the_complex_loop(drawn, T, seed):
+    model, width = drawn
+    real, first, _ = _conjugate_groups(model.eigvals, model.right_vecs)
+    assert real.size + 2 * first.size == width
+    theta = np.random.default_rng(seed).standard_normal(model.n)
+    traj = lrdmd.simulate_spectral(model, theta, T)
+    ref, ref_residue = loop_spectral(model, theta, T)
+    assert np.max(np.abs(traj.states - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
+    assert traj.max_imag_residue == pytest.approx(ref_residue, rel=1e-9, abs=1e-12)

@@ -12,7 +12,10 @@ from lrdmd import (
     FactoredOperator,
     InvalidInput,
     InvalidOperator,
+    ReducedModel,
+    SimulationBlowup,
     SnapshotPair,
+    SpectralModel,
     apply_operator,
     build_spectral_model,
     build_svd_reduced_model,
@@ -23,9 +26,10 @@ from lrdmd import (
 )
 from lrdmd import audit
 from lrdmd.linalg import eig_nonsymmetric
-from lrdmd.reduced import ZERO_EIG_TOL, _kept_left_rows
+from lrdmd import reduced
+from lrdmd.reduced import CERTIFIED_BOUND, ZERO_EIG_TOL, _conjugate_groups, _kept_left_rows
 
-from conftest import dense, match_multisets
+from conftest import dense, loop_spectral, match_multisets
 
 
 def _loop_operator(op, theta, T):
@@ -48,21 +52,6 @@ def _loop_reduced(model, theta, T):
     return out
 
 
-def _loop_spectral(model, theta, T):
-    """Step-by-step reference: x_t = Re(zeta c_t), c_t = lambda^{t-1} xi^T theta; also the imaginary residue."""
-    out = np.empty((T, model.n))
-    coeff = model.left_vecs.T @ theta.astype(complex)
-    residue = 0.0
-    for t in range(T):
-        x = model.right_vecs @ coeff
-        nrm = np.linalg.norm(x)
-        if nrm > 0:
-            residue = max(residue, np.linalg.norm(x.imag) / nrm)
-        out[t] = x.real
-        coeff = coeff * model.eigvals
-    return out, residue
-
-
 def _decaying_operator(seed, n=60, gain=1.0):
     """A = P Q^T with orthonormal P and Q^T P of eigenvalues |lambda| ~ gain * 1e-2, two conjugate pairs among them."""
     rng = np.random.default_rng(seed)
@@ -77,6 +66,29 @@ def _decaying_operator(seed, n=60, gain=1.0):
     N = rng.standard_normal((n, 6))
     N -= P @ (P.T @ N)  # Q^T P = M whatever the part of Q orthogonal to P
     return FactoredOperator(P=P, Q=P @ M.T + N), rng
+
+
+def _scaled_models(g, P_hat):
+    """``A = g I`` on R^2 as a factored, a reduced and a spectral model, each decoded by ``1e160 P_hat``.
+
+    The states are ``x_t = g^{t-1} theta`` and the latent path is ``g^{t-1} P_hat^{-1} theta / 1e160``.
+    """
+    c = 1e160
+    Q = (g / c) * np.linalg.inv(P_hat).T
+    P = c * P_hat
+    spectral = SpectralModel(
+        eigvals=np.full(2, g, dtype=complex), right_vecs=P.astype(complex), left_vecs=(Q / g).astype(complex)
+    )
+    return {
+        simulate_operator: FactoredOperator(P=P, Q=Q),
+        simulate_reduced: ReducedModel(L=Q, R=P, S=g * np.eye(2)),
+        simulate_spectral: spectral,
+    }
+
+
+#: Decoder columns that cancel: for theta = [0, a] the latent path is about [1000 a, 1000 a] / 1e160, so the
+#: r-space bound of a lifted row is 2000 times its largest entry.
+CANCELLING = np.array([[1.0, -1.0], [0.0, 1e-3]])
 
 
 def _random_optimal(seed, n=25, m=10, k=4):
@@ -401,7 +413,7 @@ class TestWholeHorizon:
             assert np.sum(np.abs(model.eigvals.imag) > 0) == 4
             theta = rng.standard_normal(op.n)
             traj = simulate_spectral(model, theta, self.T)
-            ref, ref_residue = _loop_spectral(model, theta, self.T)
+            ref, ref_residue = loop_spectral(model, theta, self.T)
             assert np.max(np.abs(traj.states - ref)) <= 1e-12 * np.abs(ref).max()
             assert traj.max_imag_residue <= 1e-8 and ref_residue <= 1e-8
 
@@ -412,7 +424,7 @@ class TestWholeHorizon:
         lone = lrdmd.SpectralModel(model.eigvals[:1], model.right_vecs[:, :1], model.left_vecs[:, :1])
         theta = rng.standard_normal(op.n)
         traj = simulate_spectral(lone, theta, 40)
-        ref, ref_residue = _loop_spectral(lone, theta, 40)
+        ref, ref_residue = loop_spectral(lone, theta, 40)
         assert traj.max_imag_residue > 0.1
         assert traj.max_imag_residue == pytest.approx(ref_residue, rel=1e-10)
         assert np.max(np.abs(traj.states - ref)) <= 1e-12 * np.abs(ref).max()
@@ -486,6 +498,22 @@ class TestSimulateSpectral:
         traj = simulate_spectral(model, rng.standard_normal(30), 11)
         assert traj.max_imag_residue <= 1e-8
 
+    def test_conjugate_closed_lift_is_r_columns(self):
+        n = 300
+        op, _, rng = _random_optimal(18, n=n, m=12, k=6)
+        model = build_spectral_model(op)
+        assert np.any(model.eigvals.imag != 0)
+        real, first, _ = _conjugate_groups(model.eigvals, model.right_vecs)
+        assert real.size + 2 * first.size == model.r
+        theta = rng.standard_normal(n)
+        madds = {}
+        for T in (21, 41):
+            with audit.tally() as t:
+                simulate_spectral(model, theta, T)
+            madds[T] = t.multiply_adds
+        r = model.r
+        assert (madds[41] - madds[21]) / 20 <= r * n + 4 * r * r
+
     def test_per_step_cost_linear_in_n(self):
         costs = {}
         for n in (200, 400):
@@ -500,6 +528,58 @@ class TestSimulateSpectral:
             assert costs[n] <= 3.0 * r * n
             assert costs[n] >= r * n
         assert costs[400] / costs[200] == pytest.approx(2.0, rel=0.2)
+
+
+class TestFinitenessCertificate:
+    """States are proved finite in r-space; only the rows the bound cannot certify are read back."""
+
+    SIMULATORS = (simulate_operator, simulate_reduced, simulate_spectral)
+
+    @pytest.mark.parametrize("simulate", SIMULATORS)
+    def test_finite_factors_whose_product_overflows(self, simulate):
+        # x_t = 10^{t-1} [1e300, 1e300]: the latent path stays below 1e150 and the basis at 1e160, yet row 9 overflows
+        theta = np.full(2, 1e300)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationBlowup) as exc:
+            simulate(_scaled_models(10.0, np.eye(2))[simulate], theta, 12)
+        assert exc.value.step == 9
+
+    @pytest.mark.parametrize("simulate", SIMULATORS)
+    def test_huge_finite_states_are_checked_not_raised(self, simulate):
+        theta = np.array([0.0, 5e304])
+        assert 2000 * theta[1] > CERTIFIED_BOUND  # no row is certified
+        traj = simulate(_scaled_models(1.0, CANCELLING)[simulate], theta, 6)
+        assert np.all(np.isfinite(traj.states))
+        np.testing.assert_allclose(traj.states[:, 1], theta[1], rtol=1e-12)
+        assert np.max(np.abs(traj.states[:, 0])) <= 1e-12 * theta[1]
+        assert traj.max_imag_residue in (None, 0.0)
+
+    @pytest.mark.parametrize("simulate", SIMULATORS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_theta_raises_at_row_0(self, simulate, bad):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationBlowup) as exc:
+            simulate(_scaled_models(1.0, np.eye(2))[simulate], np.array([bad, 1.0]), 5)
+        assert exc.value.step == 0
+
+    def test_certified_rows_are_not_read_back(self, monkeypatch):
+        op, _, rng = _random_optimal(19)
+        theta = rng.standard_normal(op.n)
+        checked = []
+        check = reduced._raise_first_nonfinite
+
+        def recording(out, rows):
+            checked.extend(rows)
+            check(out, rows)
+
+        monkeypatch.setattr(reduced, "_raise_first_nonfinite", recording)
+        for simulate, model in (
+            (simulate_operator, op),
+            (simulate_reduced, build_svd_reduced_model(op)),
+            (simulate_spectral, build_spectral_model(op)),
+        ):
+            checked.clear()
+            simulate(model, theta, 30)
+            # only theta, the caller's row, is read: the spectral model lifts its first row
+            assert checked == ([] if simulate is simulate_spectral else [0]), simulate.__name__
 
 
 def test_audit_counts_real_multiply_adds():

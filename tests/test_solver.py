@@ -123,7 +123,7 @@ class TestOneFactorisationOfX:
         elif case == "zero_y":
             Y = np.zeros((n, m))
         data = SnapshotPair(X=X, Y=Y)
-        for fit in (fit_optimal, fit_truncated):
+        for fit in (fit_optimal, fit_truncated, fit_projected):
             first = fit(data)
             with audit.tally() as t:
                 again = fit(data)
@@ -155,7 +155,7 @@ class TestOneFactorisationOfX:
     def test_cached_factors_are_read_only_and_operators_own_theirs(self):
         rng = np.random.default_rng(36)
         data = SnapshotPair(X=rng.standard_normal((9, 5)), Y=rng.standard_normal((9, 5)))
-        for a in (*vars(data.svd_x).values(), *vars(data.svd_c[0]).values()):
+        for a in (*vars(data.svd_x).values(), *vars(data.svd_c[0]).values(), *vars(data.svd_b).values()):
             if isinstance(a, np.ndarray):
                 assert not a.flags.writeable
         for name, solve in lrdmd.SOLVERS.items():
@@ -390,11 +390,12 @@ class TestLowRankFitContract:
         assert op.r == 4 and op.flags == ("rank_deficient",)
 
     def test_own_flags_compose_with_rank_deficient(self):
-        # All-zero X: each baseline keeps its own flags and adds "rank_deficient" past its rank 0.
+        # All-zero X: each method keeps its own flags and adds "rank_deficient" past its rank 0.
         data = SnapshotPair(X=np.zeros((6, 4)), Y=np.random.default_rng(24).standard_normal((6, 4)))
         assert fit_truncated(data).operator(2).flags == ("degenerate_x", "rank_deficient")
         assert fit_projected(data).operator(2).flags == ("degenerate_x", "rank_deficient_x", "rank_deficient")
-        assert fit_optimal(data).operator(2).flags == ("rank_deficient",)
+        assert fit_optimal(data).operator(2).flags == ("degenerate_x", "rank_deficient")
+        assert fit_optimal(data).error_sq(2) == pytest.approx(float(np.sum(data.Y**2)), rel=1e-14)
 
     def test_rb_iv_projected_past_its_rank(self):
         # X of rb-iv (seed 1) has numerical rank 12 < m = 50, so projected DMD runs outside its assumption.
