@@ -126,11 +126,16 @@ def physical_config(setting: str) -> RBConfig:
     The linear settings need nu = 0 (the Taylor-vortex degeneracy); the
     nonlinear setting runs at a supercritical Rayleigh number so convective
     modes grow and the snapshots are genuinely nonlinear over the sampled
-    window.
+    window.  Samples are 0.01 apart.  Diffusion is integrated exactly, so
+    the step is set by accuracy: 2e-3 in the linear settings, and 1e-4 in the
+    nonlinear one, where advection and the coupling set the error as they
+    did for explicit RK4 (a longer step loses accuracy at some seeds).
     """
     if setting not in PHYSICAL_LAYOUT:
         raise InvalidInput(f"unknown physical setting {setting!r}")
-    return RBConfig(sigma=1.0, nu=0.0 if setting in ("iv", "v") else 6000.0)
+    if setting in ("iv", "v"):
+        return RBConfig(sigma=1.0, nu=0.0, dt=2e-3, sample_stride=5)
+    return RBConfig(sigma=1.0, nu=6000.0, dt=1e-4, sample_stride=100)
 
 
 def gen_physical(setting: str, seed: int) -> SnapshotPair:

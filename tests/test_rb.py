@@ -1,10 +1,13 @@
 """Convection simulator: known solutions, symmetries, failure modes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lrdmd import InvalidInput, SimulationBlowup
 from lrdmd import rb
+from lrdmd.benchmarks import physical_config
 from lrdmd.rb import (
     InitCondition,
     RBConfig,
@@ -82,10 +85,11 @@ def _oracle_fields(cfg, b0, tau0, n_samples):
     def rhs(U, t):
         B, T = U
         v1, v2 = o.grid(o.velocity[:, None] * B)
-        return np.stack([cfg.sigma * (o.lap * B + cfg.nu * o.d1 * T) - o.advection(v1, v2, B),
-                         o.lap * T + o.forcing * B - o.advection(v1, v2, T)])
+        return np.stack([cfg.sigma * cfg.nu * o.d1 * T - o.advection(v1, v2, B),
+                         o.forcing * B - o.advection(v1, v2, T)])
 
-    return rb._integrate(cfg, o.spectrum(np.stack([b0, tau0])), rhs,
+    decay = np.stack([cfg.sigma * o.lap, o.lap])[:, None]
+    return rb._integrate(cfg, o.spectrum(np.stack([b0, tau0])), decay, rhs,
                          lambda U, t: o.states(U.swapaxes(0, 1)), n_samples)
 
 
@@ -97,13 +101,13 @@ def _oracle_linear(cfg, ic, tau0, n_samples):
     v1, v2 = o.grid(o.velocity * B0)
 
     def rhs(T, t):
-        return o.lap * T + np.exp(-rate * t) * (o.forcing * B0 - o.advection(v1, v2, T))
+        return np.exp(-rate * t) * (o.forcing * B0 - o.advection(v1, v2, T))
 
     def sample(T, t):
         tau = o.states(T)
         return np.concatenate([np.broadcast_to(np.exp(-rate * t) * b0.ravel(), tau.shape), tau], axis=1)
 
-    return rb._integrate(cfg, o.spectrum(tau0), rhs, sample, n_samples)
+    return rb._integrate(cfg, o.spectrum(tau0), o.lap, rhs, sample, n_samples)
 
 
 class TestInitCondition:
@@ -208,27 +212,37 @@ class TestDiffusionRegime:
                 np.testing.assert_allclose(tau[i], expected, atol=1e-10)
 
 
+def _random_fields():
+    rng = np.random.default_rng(0)
+    return 0.1 * rng.standard_normal((16, 32)), 0.1 * rng.standard_normal((16, 32))
+
+
 class TestStability:
+    # Diffusion is integrated exactly, so only the explicit coupling sigma nu d_s1 can make a
+    # step unstable: at nu = 1e6 and dt = 5e-3 it is far outside RK4's stability interval.
+    UNSTABLE = RBConfig(sigma=1.0, nu=1e6, dt=5e-3, sample_stride=50)
+
     def test_blowup_detected_with_step_index(self):
-        # grossly unstable dt for the diffusion operator
-        cfg = RBConfig(sigma=1.0, nu=0.0, dt=5e-3, sample_stride=50)
-        rng = np.random.default_rng(0)
-        b0 = 0.1 * rng.standard_normal((16, 32))
-        tau0 = 0.1 * rng.standard_normal((16, 32))
+        b0, tau0 = _random_fields()
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationBlowup) as exc:
-            simulate_fields(cfg, b0, tau0, 40)
+            simulate_fields(self.UNSTABLE, b0, tau0, 40)
         assert exc.value.step > 0
 
     def test_blowup_detected_in_a_stack(self):
         # the unstable input of the test above, between two tame trajectories
-        cfg = RBConfig(sigma=1.0, nu=0.0, dt=5e-3, sample_stride=50)
-        rng = np.random.default_rng(0)
-        b0 = 0.1 * rng.standard_normal((16, 32))
-        tau0 = 0.1 * rng.standard_normal((16, 32))
+        b0, tau0 = _random_fields()
         tame = np.zeros((16, 32))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationBlowup) as exc:
-            simulate_fields(cfg, np.stack([tame, b0, tame]), np.stack([tame, tau0, tame]), 40)
+            simulate_fields(self.UNSTABLE, np.stack([tame, b0, tame]), np.stack([tame, tau0, tame]), 40)
         assert exc.value.step > 0
+
+    def test_diffusive_step_limit_is_gone(self):
+        # dt = 5e-3 puts |Lap|_max dt near 60, far outside explicit RK4's stability interval.
+        cfg = RBConfig(sigma=1.0, nu=0.0, dt=5e-3, sample_stride=50)
+        states = simulate_fields(cfg, *_random_fields(), 40)
+        assert np.all(np.isfinite(states))
+        energies = [float(np.sum(split_state(x, cfg.grid)[1] ** 2)) for x in states]
+        assert all(energies[i + 1] <= energies[i] for i in range(len(energies) - 1))
 
     def test_determinism(self):
         cfg = RBConfig(nu=6000.0)
@@ -240,6 +254,30 @@ class TestStability:
     def test_bad_sample_count(self):
         with pytest.raises(InvalidInput):
             simulate_rb(RBConfig(), InitCondition(), 0)
+
+
+class TestTemporalAccuracy:
+    """Each physical setting's step against the same integrator at a step 8x smaller.
+
+    Measured errors (of max|state|): 6.0e-12 linear over three samples, 2.9e-11
+    nonlinear over one; the bounds allow 5x that.
+    """
+
+    @staticmethod
+    def _error(cfg, run, n_samples):
+        fine = replace(cfg, dt=cfg.dt / 8, sample_stride=8 * cfg.sample_stride)
+        want = run(fine, n_samples)
+        return np.max(np.abs(run(cfg, n_samples) - want)) / np.max(np.abs(want))
+
+    def test_linear_setting_step(self):
+        _, tau0 = _stack(3)
+        ic = _degenerate_ic()
+        error = self._error(physical_config("iv"), lambda cfg, ns: simulate_linear_fields(cfg, ic, tau0, ns), 4)
+        assert error <= 3e-11
+
+    def test_nonlinear_setting_step(self):
+        b0, tau0 = _stack(3)
+        assert self._error(physical_config("vi"), lambda cfg, ns: simulate_fields(cfg, b0, tau0, ns), 2) <= 1.5e-10
 
 
 class TestBatch:
