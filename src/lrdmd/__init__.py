@@ -61,6 +61,7 @@ from .rb import (
     taylor_decay_rate,
 )
 from .benchmarks import (
+    GENERATORS,
     ErrorCurve,
     SOLVERS,
     ToyConfig,
@@ -69,6 +70,7 @@ from .benchmarks import (
     gen_physical,
     gen_spectral_truth,
     gen_toy,
+    generate,
     spectral_ground_truth,
 )
 

@@ -10,7 +10,7 @@ ziggurat normals) recorded in dataset manifests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -26,10 +26,13 @@ from .rb import (
     simulate_fields,
     simulate_linear_fields,
 )
-from .reduced import SpectralModel, simulate_spectral
+from .reduced import SpectralModel, build_spectral_model, simulate_spectral
 from .solver import SnapshotPair, error_report, fit_optimal, fit_projected, fit_truncated, optimal_lowrank
 
 RNG_NAME = "numpy-pcg64/standard_normal"
+
+#: Dataset names ``generate`` accepts: toy i-iii, Rayleigh-Benard iv-vi, spectral vii-viii.
+GENERATORS = ("toy-i", "toy-ii", "toy-iii", "rb-iv", "rb-v", "rb-vi", "spectral-vii", "spectral-viii")
 
 #: Method name -> function fitting that method once for every k.
 SOLVERS = {
@@ -231,16 +234,18 @@ def gen_spectral_truth(base: SpectralModel, N: int, T: int, seed: int) -> Snapsh
     return SnapshotPair.from_trajectories(trajectories)
 
 
+#: The spectral datasets' generator is the optimal fit at this rank to the dataset of this physical setting.
+_SPECTRAL_BASE_SETTING, _SPECTRAL_BASE_K = "vi", 3
+
+
 def spectral_ground_truth(seed: int):
     """Build the rank-3 generator of the noise study from the nonlinear dataset.
 
     Returns ``(base_model, data)``: the eigentriples extracted at k = 3 from
     a setting-vi dataset, and the exact rank-3 snapshot pair they generate.
     """
-    from .reduced import build_spectral_model  # local import to avoid a cycle
-
-    vi = gen_physical("vi", seed)
-    op = optimal_lowrank(vi, 3)
+    vi = gen_physical(_SPECTRAL_BASE_SETTING, seed)
+    op = optimal_lowrank(vi, _SPECTRAL_BASE_K)
     base = build_spectral_model(op)
     data = gen_spectral_truth(base, N=5, T=11, seed=seed + 1)
     return base, data
@@ -275,6 +280,43 @@ def add_noise_psnr(data: SnapshotPair, psnr_db: float, seed: int) -> SnapshotPai
     X = data.X + noise[:, :-1].reshape(-1, data.n).T
     Y = data.Y + noise[:, 1:].reshape(-1, data.n).T
     return SnapshotPair(X=X, Y=Y, n_traj=N, traj_len=T)
+
+
+# ---------------------------------------------------------------------------
+# Datasets by name
+# ---------------------------------------------------------------------------
+
+
+def generate(name: str, seed: int, psnr_db: float | None = None) -> tuple[SnapshotPair, dict, SpectralModel | None]:
+    """Dataset ``name`` at ``seed`` as ``lrdmd generate`` writes it: (pair, manifest fields, truth).
+
+    The manifest lacks only what ``io.write_dataset`` adds; truth is the spectral datasets' model, else None.
+    Noise at ``psnr_db`` (spectral-viii: 20 dB by default) is drawn from ``seed + 2``; ``+inf`` adds and records none.
+    """
+    if name not in GENERATORS:
+        raise InvalidInput(f"unknown generator {name!r}")
+    family, setting = name.split("-", 1)
+    manifest: dict = {"generator": name, "seed": seed, "rng": RNG_NAME}
+    truth = None
+    if family == "toy":
+        cfg = ToyConfig(setting=setting, seed=seed)
+        data = gen_toy(cfg)
+    elif family == "rb":
+        cfg = physical_config(setting)
+        data = gen_physical(setting, seed)
+    else:
+        cfg = physical_config(_SPECTRAL_BASE_SETTING)
+        truth, data = spectral_ground_truth(seed)
+        manifest["base_model"] = {"fitted_from": f"rb-{_SPECTRAL_BASE_SETTING}", "k": _SPECTRAL_BASE_K, "seed": seed}
+    manifest["config"] = asdict(cfg)
+    if family != "toy":
+        manifest["scheme"] = cfg.scheme()
+    psnr_db = 20.0 if psnr_db is None and name == "spectral-viii" else psnr_db
+    if psnr_db is not None:
+        data = add_noise_psnr(data, psnr_db, seed + 2)
+        if psnr_db != np.inf:
+            manifest["psnr_db"] = psnr_db
+    return data, manifest, truth
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +360,7 @@ def error_sweep(
     unknown = [m for m in methods if m not in SOLVERS]
     if unknown:
         raise InvalidInput(f"unknown methods: {unknown}")
-    norm_y = float(np.linalg.norm(data.Y))
+    norm_y = data.norm_y
     errors = {m: np.full(ks.size, np.nan) for m in methods}
     flags: dict[str, list[str]] = {m: [""] * ks.size for m in methods}
     closed = np.full(ks.size, np.nan) if "optimal" in methods else None

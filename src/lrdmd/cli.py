@@ -8,29 +8,16 @@ verification failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import io as lio
-from .benchmarks import (
-    PHYSICAL_LAYOUT,
-    RNG_NAME,
-    SOLVERS,
-    ToyConfig,
-    add_noise_psnr,
-    error_sweep,
-    gen_physical,
-    gen_toy,
-    physical_config,
-    spectral_ground_truth,
-)
+from .benchmarks import GENERATORS, SOLVERS, error_sweep, generate
 from .errors import InvalidInput, LrdmdError, PairingFailure, SimulationBlowup
 from .linalg import DEFAULT_RANK_TOL, numerical_rank
 from .reduced import (
-    ReducedModel,
     SpectralModel,
     build_spectral_model,
     build_svd_reduced_model,
@@ -47,17 +34,6 @@ EXIT_SIMULATION = 3
 EXIT_PAIRING = 4
 EXIT_VERIFY = 5
 
-GENERATORS = (
-    "toy-i",
-    "toy-ii",
-    "toy-iii",
-    "rb-iv",
-    "rb-v",
-    "rb-vi",
-    "spectral-vii",
-    "spectral-viii",
-)
-
 
 def _say(args, *parts) -> None:
     if not args.quiet:
@@ -70,36 +46,12 @@ def _say(args, *parts) -> None:
 
 
 def cmd_generate(args) -> int:
-    name = args.generator
+    data, manifest, truth = generate(args.generator, args.seed, args.psnr)
     out = Path(args.out)
-    seed = args.seed
-    manifest: dict = {"schema_version": lio.SCHEMA_VERSION, "generator": name, "seed": seed, "rng": RNG_NAME}
-    truth = None
-    if name.startswith("toy-"):
-        cfg = ToyConfig(setting=name.split("-", 1)[1], seed=seed)
-        data = gen_toy(cfg)
-        manifest["config"] = dataclasses.asdict(cfg)
-    elif name.startswith("rb-"):
-        setting = name.split("-", 1)[1]
-        cfg = physical_config(setting)
-        data = gen_physical(setting, seed)
-        manifest["config"] = dataclasses.asdict(cfg)
-        manifest["scheme"] = cfg.scheme()
-    else:  # spectral-vii / spectral-viii
-        cfg = physical_config("vi")
-        truth, data = spectral_ground_truth(seed)
-        manifest["config"] = dataclasses.asdict(cfg)
-        manifest["scheme"] = cfg.scheme()
-        manifest["base_model"] = {"fitted_from": "rb-vi", "k": 3, "seed": seed}
-    psnr = 20.0 if name == "spectral-viii" and args.psnr is None else args.psnr
-    if psnr is not None:
-        data = add_noise_psnr(data, psnr, seed + 2)
-        if psnr != np.inf:  # +inf adds no noise, so the manifest is the one written without --psnr
-            manifest["psnr_db"] = psnr
     lio.write_dataset(out, data, manifest)
     if truth is not None:
-        lio.save_spectral(out / "truth-spectral.json", truth, {"role": "ground truth", "seed": seed})
-    _say(args, f"wrote dataset {name} to {out} (n={data.n}, m={data.m}, N={data.n_traj}, T={data.traj_len})")
+        lio.save_spectral(out / "truth-spectral.json", truth, {"role": "ground truth", "seed": args.seed})
+    _say(args, f"wrote dataset {args.generator} to {out} (n={data.n}, m={data.m}, N={data.n_traj}, T={data.traj_len})")
     return EXIT_OK
 
 
@@ -142,11 +94,7 @@ def cmd_fit(args) -> int:
     )
     reduced = build_svd_reduced_model(op)
     lio.save_reduced(out / "model-reduced.json", reduced, prov)
-    try:
-        spectral = build_spectral_model(op)
-    except PairingFailure as exc:
-        print(f"spectral pairing failed: {exc}", file=sys.stderr)
-        return EXIT_PAIRING
+    spectral = build_spectral_model(op)  # a PairingFailure leaves the two models above and exits 4
     lio.save_spectral(out / "model-spectral.json", spectral, prov)
     if spectral.flags:
         _say(args, f"spectral flags: {','.join(spectral.flags)}")

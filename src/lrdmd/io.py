@@ -6,10 +6,10 @@ Each row is written by one ``%`` format (CSV files are streamed row by row)
 and the whole body is read by one ``np.loadtxt``; only the row and column
 counts are checked line by line, and ``#`` is an invalid value, not a comment.
 Datasets are directories (manifest.json, X.csv, Y.csv), and the manifest's
-layout fields n, m, N, T are written here from the pair.  Models are single
-JSON files embedding their matrices as CSV-format text blocks (complex
-matrices split into _re/_im blocks); one writer and one reader lay out all
-three kinds.
+schema version and layout fields n, m, N, T are written here from the pair.
+Models are single JSON files embedding their matrices as CSV-format text
+blocks (complex matrices split into _re/_im blocks); one writer and one
+reader lay out all three kinds.
 """
 
 from __future__ import annotations
@@ -108,10 +108,10 @@ def manifest_hash(manifest: dict) -> str:
 
 
 def write_dataset(directory: Path | str, data: SnapshotPair, manifest: dict) -> None:
-    """Write manifest.json, X.csv and Y.csv; the manifest gains the pair's layout ``n``, ``m``, ``N``, ``T``."""
+    """Write manifest.json, X.csv and Y.csv; the manifest gains the schema version and the layout n, m, N, T."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    layout = {"n": data.n, "m": data.m, "N": data.n_traj, "T": data.traj_len}
+    layout = {"schema_version": SCHEMA_VERSION, "n": data.n, "m": data.m, "N": data.n_traj, "T": data.traj_len}
     (d / MANIFEST_NAME).write_text(dump_json({**manifest, **layout}))
     write_matrix_csv(d / X_NAME, data.X)
     write_matrix_csv(d / Y_NAME, data.Y)

@@ -404,7 +404,7 @@ def error_report(
 ) -> ErrorReport:
     """Direct residual of an operator on the data, optionally with the closed form."""
     direct = op.residual_fro(data)
-    norm_y = float(np.linalg.norm(data.Y))
+    norm_y = data.norm_y
     normalized = direct / norm_y if norm_y > 0 else 0.0
     if closed_form_sq is None:
         return ErrorReport(direct_error=direct, normalized=normalized)

@@ -22,6 +22,11 @@ def _color(name: str, i: int) -> str:
     return PALETTE.get(name, FALLBACK_COLORS[i % len(FALLBACK_COLORS)])
 
 
+def _escape(text: str) -> str:  # as xml.sax.saxutils.escape, which imports urllib.request
+    text = text.translate(dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20)], "\ufffd"))  # not XML 1.0
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _ticks_int(lo: int, hi: int, target: int = 8) -> list[int]:
     span = max(hi - lo, 1)
     step = max(1, int(round(span / target)))
@@ -34,8 +39,8 @@ def _ticks_int(lo: int, hi: int, target: int = 8) -> list[int]:
 def error_chart(ks: np.ndarray, series: dict[str, np.ndarray], title: str = "") -> str:
     """SVG line chart of normalised errors versus k, one polyline per method.
 
-    NaN cells break the line.  Output is byte-deterministic for identical
-    inputs (fixed canvas, two-decimal coordinates).
+    NaN cells break the line, and text is escaped.  Output is byte-deterministic
+    for identical inputs (fixed canvas, two-decimal coordinates).
     """
     ks = np.asarray(ks, dtype=float)
     finite = [v[np.isfinite(v)] for v in series.values()]
@@ -63,7 +68,7 @@ def error_chart(ks: np.ndarray, series: dict[str, np.ndarray], title: str = "") 
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.2f}" y="20" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="15">{title}</text>',
+        f'font-size="15">{_escape(title)}</text>',
     ]
     # Axes frame
     out.append(
@@ -128,7 +133,7 @@ def error_chart(ks: np.ndarray, series: dict[str, np.ndarray], title: str = "") 
             f'stroke="{color}" stroke-width="1.8"/>'
         )
         out.append(
-            f'<text x="{lx + 32}" y="{ly}" font-family="sans-serif" font-size="12">{name}</text>'
+            f'<text x="{lx + 32}" y="{ly}" font-family="sans-serif" font-size="12">{_escape(name)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -1,9 +1,13 @@
 """Benchmark generators and the error sweep: determinism, expected method orderings."""
 
+import json
+
 import numpy as np
 import pytest
 
 import lrdmd
+from lrdmd import io as lio
+from lrdmd.cli import main
 from lrdmd import (
     InvalidInput,
     SnapshotPair,
@@ -224,6 +228,51 @@ class TestSpectralTruth:
         )
         with pytest.raises(InvalidInput):
             gen_spectral_truth(bad, N=2, T=3, seed=0)
+
+
+class TestGenerate:
+    @pytest.mark.parametrize("name", lrdmd.GENERATORS)
+    def test_returns_what_the_cli_writes(self, name, tmp_path):
+        out = tmp_path / name
+        assert main(["generate", name, "--seed", "3", "--out", str(out), "--quiet"]) == 0
+        data, manifest, truth = lrdmd.generate(name, 3)
+        written, written_manifest = lio.read_dataset(out)
+        np.testing.assert_array_equal(written.X, data.X)
+        np.testing.assert_array_equal(written.Y, data.Y)
+        io_fields = dict(schema_version=lio.SCHEMA_VERSION, n=data.n, m=data.m, N=data.n_traj, T=data.traj_len)
+        assert written_manifest == {**json.loads(lio.dump_json(manifest)), **io_fields}
+        assert not io_fields.keys() & manifest.keys()
+        if truth is None:
+            assert not name.startswith("spectral-") and not (out / "truth-spectral.json").exists()
+        else:
+            saved, kind, _ = lio.load_model(out / "truth-spectral.json")
+            assert kind == "spectral"
+            np.testing.assert_array_equal(saved.eigvals, truth.eigvals)
+            np.testing.assert_array_equal(saved.right_vecs, truth.right_vecs)
+            np.testing.assert_array_equal(saved.left_vecs, truth.left_vecs)
+
+    @pytest.mark.parametrize("psnr", ["30", "inf"])
+    def test_psnr_matches_the_cli(self, psnr, tmp_path):
+        out = tmp_path / "ds"
+        assert main(["generate", "toy-ii", "--seed", "3", f"--psnr={psnr}", "--out", str(out), "--quiet"]) == 0
+        data, manifest, _ = lrdmd.generate("toy-ii", 3, psnr_db=float(psnr))
+        written, written_manifest = lio.read_dataset(out)
+        np.testing.assert_array_equal(written.X, data.X)
+        np.testing.assert_array_equal(written.Y, data.Y)
+        assert written_manifest.get("psnr_db") == manifest.get("psnr_db") == (30.0 if psnr == "30" else None)
+
+    def test_spectral_viii_is_the_clean_pair_at_20db_from_seed_plus_2(self, spectral_datasets):
+        data, manifest, truth = lrdmd.generate("spectral-viii", 5)
+        np.testing.assert_array_equal(data.X, spectral_datasets["noisy"].X)
+        np.testing.assert_array_equal(data.Y, spectral_datasets["noisy"].Y)
+        np.testing.assert_array_equal(truth.eigvals, spectral_datasets["base"].eigvals)
+        assert manifest["psnr_db"] == 20.0
+        assert manifest["base_model"] == {"fitted_from": "rb-vi", "k": 3, "seed": 5}
+
+    @pytest.mark.parametrize("name", ["toy-iv", "rb-vii", "spectral-ix", "toy"])
+    def test_unknown_name_rejected(self, name):
+        with pytest.raises(InvalidInput):
+            lrdmd.generate(name, 0)
 
 
 class TestNoise:

@@ -176,6 +176,21 @@ class TestSvg:
 
         ET.fromstring(a)  # parses as XML
 
+    def test_title_and_series_names_escaped(self):
+        import xml.etree.ElementTree as ET
+
+        svg = error_chart(np.arange(1, 4), {"x<y>&z": np.array([1e-1, 1e-2, 1e-3])}, title="a<b & c\x01\x1f\t")
+        texts = [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert "a<b & c\ufffd\ufffd\t" in texts and "x<y>&z" in texts
+
+    def test_sweep_svg_parses_for_any_generator_name(self, tmp_path):
+        import xml.etree.ElementTree as ET
+
+        lio.write_dataset(tmp_path / "ds", lrdmd.gen_toy(lrdmd.ToyConfig(seed=2)), {"generator": "a<b & c"})
+        assert main(["sweep", str(tmp_path / "ds"), "--k-range", "1:3", "--out", str(tmp_path / "sw")]) == 0
+        root = ET.fromstring((tmp_path / "sw" / "sweep.svg").read_text())
+        assert root.find("{http://www.w3.org/2000/svg}text").text == "a<b & c: normalized error vs k"
+
 
 class TestCli:
     @pytest.fixture()
