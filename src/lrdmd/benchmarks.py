@@ -275,11 +275,9 @@ def add_noise_psnr(data: SnapshotPair, psnr_db: float, seed: int) -> SnapshotPai
         raise InvalidInput("cannot set a PSNR against all-zero data")
     sigma = peak / (10.0 ** (psnr_db / 20.0))
     N, T = data.n_traj, data.traj_len
-    # One draw per snapshot in (trajectory, time) order; snapshot t feeds X at t < T-1 and Y at t >= 1.
-    noise = sigma * _rng(seed).standard_normal((N, T, data.n))
-    X = data.X + noise[:, :-1].reshape(-1, data.n).T
-    Y = data.Y + noise[:, 1:].reshape(-1, data.n).T
-    return SnapshotPair(X=X, Y=Y, n_traj=N, traj_len=T)
+    # One draw per snapshot in (trajectory, time) order, laid out as the data's own trajectories.
+    noise = SnapshotPair.from_trajectories(list(sigma * _rng(seed).standard_normal((N, T, data.n))))
+    return SnapshotPair(X=data.X + noise.X, Y=data.Y + noise.Y, n_traj=N, traj_len=T)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +349,8 @@ def error_sweep(
 
     Each method is fitted once and every k is read off that fit.  A method
     whose fit fails has its cells flagged and left NaN instead of aborting
-    the sweep.  For the optimal method the closed-form error and its gap to
-    the direct residual are reported as well.
+    the sweep.  For the optimal method the normalised closed-form error and
+    the error theorem's relative gap are reported as well.
     """
     ks = np.array(sorted(int(k) for k in k_range), dtype=int)
     if ks.size == 0 or ks[0] < 1 or ks[-1] > data.m:

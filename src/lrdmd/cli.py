@@ -16,7 +16,7 @@ import numpy as np
 from . import io as lio
 from .benchmarks import GENERATORS, SOLVERS, error_sweep, generate
 from .errors import InvalidInput, LrdmdError, PairingFailure, SimulationBlowup
-from .linalg import DEFAULT_RANK_TOL, numerical_rank
+from .linalg import DEFAULT_RANK_TOL
 from .reduced import (
     SpectralModel,
     build_spectral_model,
@@ -72,14 +72,12 @@ def _provenance(manifest: dict, method: str, k: int) -> dict:
 
 def cmd_fit(args) -> int:
     data, manifest = lio.read_dataset(args.dataset)
-    if not (1 <= args.k <= data.m):
-        raise InvalidInput(f"k must lie in [1, {data.m}]")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    prov = _provenance(manifest, args.method, args.k)
     fit = SOLVERS[args.method](data)
     op = fit.operator(args.k)
     rep = error_report(op, data, closed_form_sq=fit.error_sq(args.k))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    prov = _provenance(manifest, args.method, args.k)
     lio.save_factored(out / "model-factored.json", op, prov)
     _say(
         args,
@@ -152,7 +150,7 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_theta(args, n: int) -> np.ndarray:
+def _load_theta(args) -> np.ndarray:
     if args.theta_file:
         M = lio.read_matrix_csv(args.theta_file)
         theta = M.ravel()
@@ -163,8 +161,6 @@ def _load_theta(args, n: int) -> np.ndarray:
         theta = X[:, args.column]
     else:
         raise InvalidInput("need --theta-file or --dataset with --column")
-    if theta.size != n:
-        raise InvalidInput(f"initial condition has length {theta.size}, model expects {n}")
     if not np.all(np.isfinite(theta)):
         raise InvalidInput("initial condition contains non-finite entries")
     return theta
@@ -172,7 +168,7 @@ def _load_theta(args, n: int) -> np.ndarray:
 
 def cmd_simulate(args) -> int:
     obj, kind, _prov = lio.load_model(args.model)
-    theta = _load_theta(args, obj.n)
+    theta = _load_theta(args)
     if kind == "factored":
         traj = simulate_operator(obj, theta, args.steps)
     elif kind == "reduced":
@@ -197,18 +193,14 @@ def cmd_verify(args) -> int:
 
     fit = fit_optimal(data)
     op = fit.operator(k)
-    cf_sq = fit.error_sq(k)
-    direct = op.residual_fro(data)
-    gap = abs(direct**2 - cf_sq)
-    tol = 1e-7 * max(1.0, cf_sq)
-    checks.append(("theorem-error-consistency", gap <= tol, f"|direct^2-closed|={gap:.3e} tol={tol:.3e}"))
+    gap = error_report(op, data, closed_form_sq=fit.error_sq(k)).closed_form_gap
+    checks.append(("theorem-error-consistency", gap <= 1e-7, f"relative gap={gap:.3e} tol=1e-07"))
 
     res1 = first_order_residual(op, data)
     checks.append(("first-order-residual", res1 <= 1e-8, f"residual={res1:.3e} tol=1e-08"))
 
-    rank_x = numerical_rank(data.svd_x)
     rank_y = int(np.linalg.matrix_rank(data.Y, rtol=DEFAULT_RANK_TOL))  # singular values only; 0 for Y = 0
-    bound = min(k, rank_x, rank_y)
+    bound = min(k, data.rank_x, rank_y)
     checks.append(("rank-bound", op.r <= bound, f"effective_rank={op.r} bound={bound}"))
 
     checks.append(("row-space-leakage", True, f"||Y(I-P_rows(X))||_F={np.sqrt(fit.leak_sq):.6e}"))
@@ -321,7 +313,7 @@ def main(argv=None) -> int:
     except PairingFailure as exc:
         print(f"spectral pairing failure: {exc}", file=sys.stderr)
         return EXIT_PAIRING
-    except (InvalidInput, LrdmdError, OSError, KeyError, ValueError) as exc:
+    except (LrdmdError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

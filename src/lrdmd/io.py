@@ -9,7 +9,8 @@ Datasets are directories (manifest.json, X.csv, Y.csv), and the manifest's
 schema version and layout fields n, m, N, T are written here from the pair.
 Models are single JSON files embedding their matrices as CSV-format text
 blocks (complex matrices split into _re/_im blocks); one writer and one
-reader lay out all three kinds.
+reader lay out all three kinds.  Every reader rejects another schema
+version and a layout (n, m or dims) that disagrees with the matrices.
 """
 
 from __future__ import annotations
@@ -85,22 +86,18 @@ def read_matrix_csv(path: Path | str) -> np.ndarray:
     return block_to_matrix(Path(path).read_text())
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
 def dump_json(obj: dict) -> str:
-    return json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _read_document(path: Path) -> dict:
+    """A manifest or model document: a JSON object carrying this module's ``schema_version``."""
+    doc = json.loads(path.read_text())
+    if not isinstance(doc, dict):
+        raise InvalidInput(f"{path} is not a JSON object")
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise InvalidInput(f"{path}: unsupported schema version {doc.get('schema_version')!r}")
+    return doc
 
 
 def manifest_hash(manifest: dict) -> str:
@@ -118,10 +115,13 @@ def write_dataset(directory: Path | str, data: SnapshotPair, manifest: dict) -> 
 
 
 def read_dataset(directory: Path | str) -> tuple[SnapshotPair, dict]:
+    """The pair and manifest ``write_dataset`` wrote; the manifest's ``n``, ``m`` must match X."""
     d = Path(directory)
-    manifest = json.loads((d / MANIFEST_NAME).read_text())
+    manifest = _read_document(d / MANIFEST_NAME)
     X = read_matrix_csv(d / X_NAME)
     Y = read_matrix_csv(d / Y_NAME)
+    if (manifest.get("n"), manifest.get("m")) != X.shape:
+        raise InvalidInput(f"manifest n={manifest.get('n')}, m={manifest.get('m')} but X is {X.shape[0]}x{X.shape[1]}")
     pair = SnapshotPair(X=X, Y=Y, n_traj=manifest.get("N"), traj_len=manifest.get("T"))
     return pair, manifest
 
@@ -176,10 +176,8 @@ def save_spectral(path: Path | str, model: SpectralModel, provenance: dict) -> N
 
 
 def load_model(path: Path | str):
-    """Load any model file; returns (object, kind, provenance)."""
-    doc = json.loads(Path(path).read_text())
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise InvalidInput(f"unsupported schema version {doc.get('schema_version')}")
+    """Load any model file; returns (object, kind, provenance).  Its ``dims`` must match its blocks."""
+    doc = _read_document(Path(path))
     kind = doc.get("kind")
     a = _read_blocks(doc.get("blocks", {}))
     flags = tuple(doc.get("flags", []))
@@ -191,4 +189,6 @@ def load_model(path: Path | str):
         obj = SpectralModel(eigvals=a["eigvals"].ravel(), right_vecs=a["zeta"], left_vecs=a["xi"], flags=flags)
     else:
         raise InvalidInput(f"unknown model kind {kind!r}")
+    if doc.get("dims") != {"n": obj.n, "r": obj.r}:
+        raise InvalidInput(f"model dims {doc.get('dims')} but its blocks give n={obj.n}, r={obj.r}")
     return obj, kind, doc.get("provenance", {})

@@ -69,8 +69,8 @@ class SnapshotPair:
     the row space of X, and ``svd_b``, that of the m-by-m
     ``B = U_x^T Y V_x``.  Their arrays are read-only, and they hold two
     n-by-r bases (U_x and C's left vectors) for the pair's lifetime.
-    ``norm_y`` caches ``||Y||_F`` the same way, so a refit reads neither X
-    nor Y.
+    ``rank_x`` caches the numerical rank of X and ``norm_y`` caches
+    ``||Y||_F`` the same way, so a refit reads neither X nor Y.
     """
 
     X: np.ndarray
@@ -101,15 +101,19 @@ class SnapshotPair:
         return _read_only(thin_svd(self.X))
 
     @cached_property
+    def rank_x(self) -> int:
+        """Numerical rank of X, r: the singular values of ``svd_x`` above the rank cutoff."""
+        return numerical_rank(self.svd_x)
+
+    @cached_property
     def svd_c(self) -> tuple[ThinSVD, float]:
         """Thin SVD of ``C = Y V_r`` and ``||Y - C V_r^T||_F^2``, shared by the optimal and truncated fits.
 
         V_r holds the right singular vectors of X above the rank cutoff; the
         second value is Y's energy outside the row space of X.
         """
-        svd_x = self.svd_x
-        r = numerical_rank(svd_x)
-        Vr = svd_x.V[:, :r]
+        r = self.rank_x
+        Vr = self.svd_x.V[:, :r]
         C = audit.mm(self.Y, Vr)
         svd = thin_svd(C) if r else ThinSVD(U=C, S=np.zeros(0), V=np.zeros((0, 0)))
         # From the residual: ||Y||^2 - ||C||^2 cancels.
@@ -209,6 +213,8 @@ class ErrorReport:
 
     ``closed_form_error`` is the square root of the closed-form squared
     error so that it is directly comparable with ``direct_error``.
+    ``closed_form_gap`` is the relative gap ``|direct^2 - closed^2| / max(1, closed^2)``
+    that ``lrdmd verify`` checks against 1e-7.
     """
 
     direct_error: float
@@ -316,7 +322,7 @@ def fit_truncated(data: SnapshotPair) -> LowRankFit:
     is factored beyond the pair's two cached SVDs.
     """
     svd_x = data.svd_x
-    r = numerical_rank(svd_x)
+    r = data.rank_x
     if r == 0:
         return _degenerate_fit(data)
     svd_c, _ = data.svd_c
@@ -338,7 +344,7 @@ def fit_projected(data: SnapshotPair) -> LowRankFit:
     the pair's cached ones, so a further fit costs O(m^2).
     """
     svd_x = data.svd_x
-    r = numerical_rank(svd_x)
+    r = data.rank_x
     if r == 0:
         return _degenerate_fit(data, "rank_deficient_x")
     flags = ("rank_deficient_x",) if r < min(data.n, data.m) else ()
@@ -408,10 +414,9 @@ def error_report(
     normalized = direct / norm_y if norm_y > 0 else 0.0
     if closed_form_sq is None:
         return ErrorReport(direct_error=direct, normalized=normalized)
-    cf = float(np.sqrt(max(closed_form_sq, 0.0)))
     return ErrorReport(
         direct_error=direct,
         normalized=normalized,
-        closed_form_error=cf,
-        closed_form_gap=abs(direct - cf),
+        closed_form_error=float(np.sqrt(max(closed_form_sq, 0.0))),
+        closed_form_gap=abs(direct**2 - closed_form_sq) / max(1.0, closed_form_sq),
     )

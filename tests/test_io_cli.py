@@ -598,3 +598,101 @@ def test_eigen_residuals_match_per_eigenpair_loop():
         np.testing.assert_allclose(_eigen_residuals(op, model), loop(op, model), rtol=1e-9, atol=1e-14)
     empty = lrdmd.build_spectral_model(lrdmd.FactoredOperator(P=np.zeros((30, 0)), Q=np.zeros((30, 0))))
     assert _eigen_residuals(op, empty) == (0.0, 0.0)
+
+
+class TestEachCheckHasOneOwner:
+    """The CLI reads each check from the module that owns it: ``io`` for files, ``solver`` for k and the gap."""
+
+    @pytest.fixture()
+    def toy_ds(self, tmp_path):
+        out = tmp_path / "ds"
+        assert main(["generate", "toy-ii", "--seed", "7", "--out", str(out), "--quiet"]) == 0
+        return out
+
+    @staticmethod
+    def _edit(path, edit):
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(edit(doc)))
+
+    @pytest.mark.parametrize("command", ["fit", "sweep", "verify"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda doc: {**doc, "schema_version": 99}, "unsupported schema version 99"), (list, "not a JSON object")],
+        ids=["schema-99", "list"],
+    )
+    def test_other_manifest_document_exit2(self, toy_ds, tmp_path, capsys, command, edit, message):
+        self._edit(toy_ds / lio.MANIFEST_NAME, edit)
+        out = str(tmp_path / "out")
+        options = {"fit": ["--k", "3", "--out", out], "sweep": ["--out", out], "verify": ["--k", "3"]}[command]
+        assert main([command, str(toy_ds), *options, "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda doc: {**doc, "n": 7}, lambda doc: {**doc, "m": 39}, lambda doc: {**doc, "n": None}],
+        ids=["n", "m", "no-n"],
+    )
+    def test_manifest_layout_mismatch_exit2(self, toy_ds, tmp_path, capsys, edit):
+        self._edit(toy_ds / lio.MANIFEST_NAME, edit)
+        assert main(["fit", str(toy_ds), "--k", "3", "--out", str(tmp_path / "fit"), "--quiet"]) == 2
+        assert "but X is 50x40" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["factored", "reduced", "spectral"])
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda doc: {**doc, "dims": {**doc["dims"], "n": 7}}, lambda doc: {**doc, "dims": {"n": 50}}, list],
+        ids=["n", "no-r", "list"],
+    )
+    def test_model_dims_mismatch_exit2(self, toy_ds, tmp_path, kind, edit):
+        fit = tmp_path / "fit"
+        assert main(["fit", str(toy_ds), "--k", "3", "--out", str(fit), "--quiet"]) == 0
+        model = fit / f"model-{kind}.json"
+        self._edit(model, edit)
+        argv = ["simulate", str(model), "--dataset", str(toy_ds), "--column", "0", "--steps", "3"]
+        assert main(argv + ["--out", str(tmp_path / "traj.csv"), "--quiet"]) == 2
+        assert not (tmp_path / "traj.csv").exists()
+
+    def test_fit_and_verify_print_the_same_gap(self, toy_ds, tmp_path, capsys):
+        assert main(["fit", str(toy_ds), "--k", "5", "--out", str(tmp_path / "fit")]) == 0
+        fit_gap = capsys.readouterr().out.split(" gap=")[1].split()[0]
+        assert main(["verify", str(toy_ds), "--k", "5"]) == 0
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if "theorem-error-consistency" in ln]
+        assert line.split("=")[1].split()[0] == fit_gap
+        assert float(fit_gap) <= 1e-7
+
+    def test_rank_x_decided_once_per_pair(self, toy_ds, monkeypatch):
+        import lrdmd.cli as cli_mod
+        import lrdmd.solver as solver_mod
+        from lrdmd.linalg import numerical_rank
+
+        data, manifest = lio.read_dataset(toy_ds)
+        seen = []
+
+        def counting(svd):
+            seen.append(svd)
+            return numerical_rank(svd)
+
+        monkeypatch.setattr(solver_mod, "numerical_rank", counting)
+        monkeypatch.setattr(cli_mod, "numerical_rank", counting, raising=False)
+        monkeypatch.setattr(lio, "read_dataset", lambda directory: (data, manifest))
+        for fit in (lrdmd.fit_optimal, lrdmd.fit_truncated, lrdmd.fit_projected):
+            fit(data)
+        assert main(["verify", str(toy_ds), "--k", "3", "--quiet"]) == 0
+        assert sum(svd is data.svd_x for svd in seen) == 1
+
+    def test_fit_k_checked_by_the_fit_before_any_output(self, toy_ds, tmp_path, capsys):
+        out = tmp_path / "fit"
+        for k in ("0", "41", "99"):
+            assert main(["fit", str(toy_ds), "--k", k, "--out", str(out), "--quiet"]) == 2
+            assert f"k must satisfy 1 <= k <= m=40, got {k}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_theta_length_checked_by_the_simulator(self, toy_ds, tmp_path, capsys):
+        fit = tmp_path / "fit"
+        assert main(["fit", str(toy_ds), "--k", "3", "--out", str(fit), "--quiet"]) == 0
+        theta = tmp_path / "theta.csv"
+        lio.write_matrix_csv(theta, np.ones((1, 7)))
+        argv = ["simulate", str(fit / "model-spectral.json"), "--theta-file", str(theta), "--steps", "3"]
+        assert main(argv + ["--out", str(tmp_path / "traj.csv"), "--quiet"]) == 2
+        assert "initial condition of length 50 expected" in capsys.readouterr().err
