@@ -7,10 +7,15 @@ and the whole body is read by one ``np.loadtxt``; only the row and column
 counts are checked line by line, and ``#`` is an invalid value, not a comment.
 Datasets are directories (manifest.json, X.csv, Y.csv), and the manifest's
 schema version and layout fields n, m, N, T are written here from the pair.
+Beside each dataset CSV the writer also saves the parsed matrix as
+``<name>.<sha256 of the CSV's bytes>.npy``; the reader loads that copy when
+its name matches the CSV it read and parses the text otherwise, so the CSV
+stays the source of truth and an edited CSV is never shadowed by its copy.
 Models are single JSON files embedding their matrices as CSV-format text
 blocks (complex matrices split into _re/_im blocks); one writer and one
 reader lay out all three kinds.  Every reader rejects another schema
-version and a layout (n, m or dims) that disagrees with the matrices.
+version, a layout (n, m or dims) that disagrees with the matrices and an N, T
+that are not both null or both positive integers.
 """
 
 from __future__ import annotations
@@ -82,8 +87,31 @@ def write_matrix_csv(path: Path | str, M: np.ndarray) -> None:
         f.writelines(_block_lines(M))
 
 
+def _parsed_copy(path: Path, digest: str) -> Path:
+    """Where the parsed matrix of the CSV at ``path`` with SHA-256 ``digest`` is kept."""
+    return path.with_name(f"{path.name}.{digest}.npy")
+
+
+def _write_dataset_csv(path: Path, M: np.ndarray) -> None:
+    """Write ``M`` as CSV, and beside it the matrix its text parses to, named by the text's hash."""
+    write_matrix_csv(path, M)
+    for stale in path.parent.glob(f"{path.name}.*.npy"):
+        stale.unlink()
+    # C order, as block_to_matrix returns it: the same values in F order round differently in BLAS.
+    np.save(_parsed_copy(path, hashlib.sha256(path.read_bytes()).hexdigest()), np.ascontiguousarray(M, dtype=float))
+
+
 def read_matrix_csv(path: Path | str) -> np.ndarray:
-    return block_to_matrix(Path(path).read_text())
+    """The matrix of a CSV file; a copy saved by ``write_dataset`` under the CSV's hash stands in for parsing it."""
+    path = Path(path)
+    copy = _parsed_copy(path, hashlib.sha256(path.read_bytes()).hexdigest())
+    try:
+        M = np.load(copy, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        M = None
+    if isinstance(M, np.ndarray) and M.ndim == 2 and M.dtype == np.float64 and M.flags.c_contiguous:
+        return M
+    return block_to_matrix(path.read_text())
 
 
 def dump_json(obj: dict) -> str:
@@ -95,8 +123,9 @@ def _read_document(path: Path) -> dict:
     doc = json.loads(path.read_text())
     if not isinstance(doc, dict):
         raise InvalidInput(f"{path} is not a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise InvalidInput(f"{path}: unsupported schema version {doc.get('schema_version')!r}")
+    version = doc.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # True == 1 == 1.0
+        raise InvalidInput(f"{path}: unsupported schema version {version!r}")
     return doc
 
 
@@ -105,24 +134,33 @@ def manifest_hash(manifest: dict) -> str:
 
 
 def write_dataset(directory: Path | str, data: SnapshotPair, manifest: dict) -> None:
-    """Write manifest.json, X.csv and Y.csv; the manifest gains the schema version and the layout n, m, N, T."""
+    """Write manifest.json, X.csv and Y.csv (each CSV with its parsed copy).
+
+    The manifest gains the schema version and the layout n, m, N, T.
+    """
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     layout = {"schema_version": SCHEMA_VERSION, "n": data.n, "m": data.m, "N": data.n_traj, "T": data.traj_len}
     (d / MANIFEST_NAME).write_text(dump_json({**manifest, **layout}))
-    write_matrix_csv(d / X_NAME, data.X)
-    write_matrix_csv(d / Y_NAME, data.Y)
+    _write_dataset_csv(d / X_NAME, data.X)
+    _write_dataset_csv(d / Y_NAME, data.Y)
 
 
 def read_dataset(directory: Path | str) -> tuple[SnapshotPair, dict]:
-    """The pair and manifest ``write_dataset`` wrote; the manifest's ``n``, ``m`` must match X."""
+    """The pair and manifest ``write_dataset`` wrote; the manifest's ``n``, ``m`` must match X.
+
+    ``N`` and ``T`` are both null (a bare pair) or both positive integers.
+    """
     d = Path(directory)
     manifest = _read_document(d / MANIFEST_NAME)
+    n_traj, traj_len = manifest.get("N"), manifest.get("T")
+    if not (n_traj is None and traj_len is None or all(type(v) is int and v > 0 for v in (n_traj, traj_len))):
+        raise InvalidInput(f"manifest N={n_traj!r}, T={traj_len!r}: expected both null or both positive integers")
     X = read_matrix_csv(d / X_NAME)
     Y = read_matrix_csv(d / Y_NAME)
     if (manifest.get("n"), manifest.get("m")) != X.shape:
         raise InvalidInput(f"manifest n={manifest.get('n')}, m={manifest.get('m')} but X is {X.shape[0]}x{X.shape[1]}")
-    pair = SnapshotPair(X=X, Y=Y, n_traj=manifest.get("N"), traj_len=manifest.get("T"))
+    pair = SnapshotPair(X=X, Y=Y, n_traj=n_traj, traj_len=traj_len)
     return pair, manifest
 
 

@@ -201,9 +201,12 @@ class _SineFourier:
         pairs = _s2(self.synth_grad, U).view(np.float64).reshape(2, -1, self.synth.shape[0])
         return np.matmul(pairs, self.synth_grad1).reshape((2, self.n2 - 1) + U.shape[1:-1] + (self.n1,))
 
-    def advection(self, v1: np.ndarray, v2: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """Dealiased coefficients (keep_q, F, N, keep_f1) of v . grad from ``grad_grid`` output."""
-        products = _s1(v1 * G[1] + v2 * G[0], self.analysis1_dealiased)
+    def advection(self, psi2: np.ndarray, psi1: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """Dealiased coefficients (keep_q, F, N, keep_f1) of v . grad from ``grad_grid`` output.
+
+        ``psi2`` and ``psi1`` are d_s2 and d_s1 of the stream function psi, and v = (d_s2 psi, -d_s1 psi).
+        """
+        products = _s1(psi2 * G[1] - psi1 * G[0], self.analysis1_dealiased)
         return _s2(self.analysis_dealiased, products.view(np.complex128))
 
 
@@ -254,7 +257,15 @@ def _flush_tiny(U: np.ndarray) -> None:
 
 
 def _integrate(cfg: RBConfig, U: np.ndarray, decay: np.ndarray, rhs, sample, n_samples: int) -> np.ndarray:
-    """Lawson RK4 of ``dU/dt = decay U + rhs(U, t)``, diagonal ``decay`` exact; ``sample(U, t)`` is (N, n) states."""
+    """Lawson RK4 of ``dU/dt = decay U + rhs(U, t)``, diagonal ``decay`` exact; ``sample(U, t)`` is (N, n) states.
+
+    ``U`` is stepped in place.  Each stage is formed on the float pairs of the
+    complex coefficients, in three preallocated buffers, with the factors
+    broadcast to those pairs once: a real factor scales each float part (the
+    complex product numpy would form differs at most in the sign of a zero), and
+    a contiguous float op skips the broadcast over the batch axis.  ``rhs`` must
+    not keep its argument, a buffer that the next stage overwrites.
+    """
     if n_samples < 1:
         raise InvalidInput(f"n_samples must be >= 1, got {n_samples}")
     first = sample(U, 0.0)
@@ -262,19 +273,32 @@ def _integrate(cfg: RBConfig, U: np.ndarray, decay: np.ndarray, rhs, sample, n_s
     out[0] = first
     _check_finite(out[0], 0)
     h, t = cfg.dt, 0.0
-    E, E2 = np.exp(h * decay), np.exp(0.5 * h * decay)
+    u = U.view(np.float64)
+    E, E2 = (np.broadcast_to(np.repeat(np.exp(c * decay), 2, axis=-1), u.shape).copy() for c in (h, 0.5 * h))
+    E2_twice = 2.0 * E2
+    acc, arg, term = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    stage = arg.view(np.complex128)
     for s in range(1, n_samples):
         for _ in range(cfg.sample_stride):
             # E k1 + 2 E2 (k2 + k3) + k4, summed as the stages come: one stage held at a time.
-            k = rhs(U, t)
-            acc = E * k
-            k = rhs(E2 * (U + 0.5 * h * k), t + 0.5 * h)
-            acc += 2 * E2 * k
-            k = E2 * rhs(E2 * U + 0.5 * h * k, t + 0.5 * h)
-            acc += 2 * k
-            U *= E
-            acc += rhs(U + h * k, t + h)
-            U += (h / 6.0) * acc
+            k = rhs(U, t).view(np.float64)
+            np.multiply(E, k, out=acc)
+            np.multiply(0.5 * h, k, out=arg)
+            arg += u
+            arg *= E2
+            k = rhs(stage, t + 0.5 * h).view(np.float64)
+            acc += np.multiply(E2_twice, k, out=term)
+            np.multiply(E2, u, out=arg)
+            arg += np.multiply(0.5 * h, k, out=term)
+            k = rhs(stage, t + 0.5 * h).view(np.float64)
+            k *= E2
+            acc += np.multiply(2.0, k, out=term)
+            u *= E
+            np.multiply(h, k, out=arg)
+            arg += u
+            acc += rhs(stage, t + h).view(np.float64)
+            acc *= h / 6.0
+            u += acc
             _flush_tiny(U)
             t += h
         out[s] = sample(U, t)
@@ -298,18 +322,23 @@ def simulate_fields(
     """
     (b0, tau0), single = _as_batch(cfg.grid, b0, tau0)
     sp = _SineFourier(cfg.grid)
+    U0 = sp.from_cell(np.stack([b0, tau0]))
     # (sigma nu d_s1; d_s1 Lap^-1) multiply the (tau; b) of each mode: the coupling of b and tau.
     couple = np.concatenate([np.broadcast_to(cfg.sigma * cfg.nu * sp.d1, sp.forcing.shape), sp.forcing], axis=1)
+    couple = np.broadcast_to(couple, U0.shape).copy()  # over the batch axis once, not at every stage
+    # Stream function Lap^-1 b, b and tau, the fields synthesised with their gradients.
+    fields = np.empty((len(U0), 3) + U0.shape[2:], dtype=complex)
 
     def rhs(U, t):
-        # Stream function Lap^-1 b, b and tau: v = (d_s2, -d_s1) Lap^-1 b.
-        G = sp.grad_grid(np.concatenate([sp.inv_lap * U[:, :1], U], axis=1))
+        np.multiply(sp.inv_lap, U[:, :1], out=fields[:, :1])
+        fields[:, 1:] = U
+        G = sp.grad_grid(fields)
         out = couple * U[:, ::-1]
-        out[: sp.keep_q, ..., : sp.keep_f1] -= sp.advection(G[0, :, :1], -G[1, :, :1], G[:, :, 1:])
+        out[: sp.keep_q, ..., : sp.keep_f1] -= sp.advection(G[0, :, :1], G[1, :, :1], G[:, :, 1:])
         return out
 
     decay = np.concatenate([cfg.sigma * sp.lap, sp.lap], axis=1)
-    out = _integrate(cfg, sp.from_cell(np.stack([b0, tau0])), decay, rhs, lambda U, t: sp.to_cell(U), n_samples)
+    out = _integrate(cfg, U0, decay, rhs, lambda U, t: sp.to_cell(U), n_samples)
     return out[:, 0] if single else out
 
 
@@ -350,13 +379,12 @@ def simulate_linear_fields(
     rate = taylor_decay_rate(cfg.sigma, ic.a_b)
     b0 = analytic_buoyancy(cfg, ic, 0.0)
     B0 = sp.from_cell(b0[None, None])
-    grad_psi = sp.grad_grid(sp.inv_lap * B0)
-    v1, v2 = grad_psi[0], -grad_psi[1]
+    psi2, psi1 = sp.grad_grid(sp.inv_lap * B0)
     force = sp.forcing * B0
 
     def rhs(T, t):
         out = np.broadcast_to(force, T.shape).copy()
-        out[: sp.keep_q, ..., : sp.keep_f1] -= sp.advection(v1, v2, sp.grad_grid(T))
+        out[: sp.keep_q, ..., : sp.keep_f1] -= sp.advection(psi2, psi1, sp.grad_grid(T))
         return np.exp(-rate * t) * out
 
     def sample(T, t):

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -696,3 +697,156 @@ class TestEachCheckHasOneOwner:
         argv = ["simulate", str(fit / "model-spectral.json"), "--theta-file", str(theta), "--steps", "3"]
         assert main(argv + ["--out", str(tmp_path / "traj.csv"), "--quiet"]) == 2
         assert "initial condition of length 50 expected" in capsys.readouterr().err
+
+
+class TestParsedCopies:
+    """``write_dataset`` saves each CSV's parsed matrix under the CSV's hash; readers load it instead of parsing."""
+
+    @pytest.fixture()
+    def toy_ds(self, tmp_path):
+        out = tmp_path / "ds"
+        assert main(["generate", "toy-ii", "--seed", "7", "--out", str(out), "--quiet"]) == 0
+        return out
+
+    @staticmethod
+    def _copies(directory, name):
+        return sorted(directory.glob(f"{name}.*.npy"))
+
+    @pytest.mark.parametrize("name", [lio.X_NAME, lio.Y_NAME])
+    def test_generate_writes_one_copy_per_csv(self, toy_ds, name):
+        (copy,) = self._copies(toy_ds, name)
+        text = (toy_ds / name).read_bytes()
+        assert copy.name == f"{name}.{hashlib.sha256(text).hexdigest()}.npy"
+        saved = np.load(copy, allow_pickle=False)
+        parsed = lio.block_to_matrix(text.decode())
+        assert saved.flags.c_contiguous and saved.dtype == np.float64
+        assert saved.shape == parsed.shape and saved.tobytes() == parsed.tobytes()
+
+    def test_cli_reads_parse_no_dataset_block(self, toy_ds, tmp_path, monkeypatch):
+        shapes = []
+        parse = lio.block_to_matrix
+
+        def recording(text):
+            M = parse(text)
+            shapes.append(M.shape)
+            return M
+
+        monkeypatch.setattr(lio, "block_to_matrix", recording)
+        fit = tmp_path / "fit"
+        assert main(["sweep", str(toy_ds), "--out", str(tmp_path / "sweep"), "--quiet"]) == 0
+        assert main(["fit", str(toy_ds), "--k", "3", "--out", str(fit), "--quiet"]) == 0
+        assert main(["verify", str(toy_ds), "--k", "3", "--quiet"]) == 0
+        argv = ["simulate", str(fit / "model-factored.json"), "--dataset", str(toy_ds), "--column", "2", "--steps", "3"]
+        assert main(argv + ["--out", str(tmp_path / "traj.csv"), "--quiet"]) == 0
+        assert shapes and (50, 40) not in shapes  # the model blocks (n x k) are still parsed
+        X = lio.read_matrix_csv(toy_ds / lio.X_NAME)
+        np.testing.assert_array_equal(lio.read_matrix_csv(tmp_path / "traj.csv")[0], X[:, 2])
+
+    def test_edited_csv_is_read_with_its_new_value(self, toy_ds, tmp_path):
+        path = toy_ds / lio.X_NAME
+        lines = path.read_text().splitlines(keepends=True)
+        row = lines[4].split(",")
+        row[2] = "12345.5"
+        lines[4] = ",".join(row)
+        path.write_text("".join(lines))
+        data, _ = lio.read_dataset(toy_ds)
+        assert data.X[3, 2] == 12345.5
+        assert data.X.tobytes() == lio.block_to_matrix(path.read_text()).tobytes()
+        fit = tmp_path / "fit"
+        assert main(["fit", str(toy_ds), "--k", "3", "--out", str(fit), "--quiet"]) == 0
+        argv = ["simulate", str(fit / "model-reduced.json"), "--dataset", str(toy_ds), "--column", "2", "--steps", "1"]
+        assert main(argv + ["--out", str(tmp_path / "traj.csv"), "--quiet"]) == 0
+        assert lio.read_matrix_csv(tmp_path / "traj.csv")[0, 3] == 12345.5
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda p: p.write_bytes(p.read_bytes()[: len(p.read_bytes()) // 2]),
+            lambda p: p.write_bytes(b""),
+            lambda p: p.write_bytes(b"not an array\n" * 10),
+            lambda p: np.save(p, np.zeros((50, 40), dtype=object), allow_pickle=True),
+            lambda p: np.save(p, np.zeros((50, 40), dtype=np.int64)),
+            lambda p: np.save(p, np.zeros(2000)),
+            lambda p: np.save(p, np.asfortranarray(np.zeros((50, 40)))),
+            lambda p: (p.unlink(), p.mkdir()),
+            lambda p: p.unlink(),
+        ],
+        ids=["truncated", "empty", "garbage", "pickle", "int", "1-d", "fortran", "directory", "deleted"],
+    )
+    def test_spoilt_copy_falls_back_to_the_csv(self, toy_ds, spoil):
+        expected = lio.block_to_matrix((toy_ds / lio.X_NAME).read_text())
+        (copy,) = self._copies(toy_ds, lio.X_NAME)
+        spoil(copy)
+        data, _ = lio.read_dataset(toy_ds)
+        assert data.X.tobytes() == expected.tobytes()
+
+    def test_rewritten_dataset_keeps_one_copy_per_csv(self, toy_ds):
+        before = self._copies(toy_ds, lio.X_NAME) + self._copies(toy_ds, lio.Y_NAME)
+        assert main(["generate", "toy-ii", "--seed", "8", "--out", str(toy_ds), "--quiet"]) == 0
+        for name in (lio.X_NAME, lio.Y_NAME):
+            (copy,) = self._copies(toy_ds, name)
+            assert copy not in before
+            assert np.load(copy).tobytes() == lio.block_to_matrix((toy_ds / name).read_text()).tobytes()
+
+    def test_matrix_csv_written_alone_gets_no_copy(self, tmp_path):
+        lio.write_matrix_csv(tmp_path / "m.csv", np.ones((3, 4)))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
+
+
+class TestManifestFieldTypes:
+    """A manifest's ``schema_version`` is the integer 1, and its ``N``, ``T`` are both null or both integers."""
+
+    @pytest.fixture()
+    def toy_ds(self, tmp_path):
+        out = tmp_path / "ds"
+        assert main(["generate", "toy-ii", "--seed", "7", "--out", str(out), "--quiet"]) == 0
+        return out
+
+    @pytest.mark.parametrize("command", ["fit", "sweep", "verify"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"schema_version": True}, "unsupported schema version True"),
+            ({"schema_version": 1.0}, "unsupported schema version 1.0"),
+            ({"N": None}, "N=None, T=2"),
+            ({"T": None}, "N=40, T=None"),
+            ({"N": {}}, "N={}, T=2"),
+            ({"T": "2"}, "N=40, T='2'"),
+            ({"N": 40.0}, "N=40.0, T=2"),
+            ({"N": True, "T": 41}, "N=True, T=41"),
+            ({"N": -40, "T": 0}, "N=-40, T=0"),
+        ],
+        ids=["version-true", "version-float", "N-null", "T-null", "N-dict", "T-str", "N-float", "N-bool", "negative"],
+    )
+    def test_bad_manifest_field_exit2(self, toy_ds, tmp_path, capsys, command, edit, message):
+        path = toy_ds / lio.MANIFEST_NAME
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        out = str(tmp_path / "out")
+        options = {"fit": ["--k", "3", "--out", out], "sweep": ["--out", out], "verify": ["--k", "3"]}[command]
+        assert main([command, str(toy_ds), *options, "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_deleted_n_traj_exit2(self, toy_ds, tmp_path, capsys):
+        path = toy_ds / lio.MANIFEST_NAME
+        doc = json.loads(path.read_text())
+        del doc["N"]
+        path.write_text(json.dumps(doc))
+        assert main(["fit", str(toy_ds), "--k", "3", "--out", str(tmp_path / "fit"), "--quiet"]) == 2
+        assert "N=None, T=2" in capsys.readouterr().err
+
+    def test_model_schema_version_true_exit2(self, toy_ds, tmp_path):
+        fit = tmp_path / "fit"
+        assert main(["fit", str(toy_ds), "--k", "3", "--out", str(fit), "--quiet"]) == 0
+        model = fit / "model-factored.json"
+        model.write_text(json.dumps({**json.loads(model.read_text()), "schema_version": True}))
+        argv = ["simulate", str(model), "--dataset", str(toy_ds), "--column", "0", "--steps", "3"]
+        assert main(argv + ["--out", str(tmp_path / "traj.csv"), "--quiet"]) == 2
+
+    def test_bare_pair_layout_reads_back(self, tmp_path):
+        X = np.random.default_rng(3).standard_normal((6, 4))
+        lio.write_dataset(tmp_path / "ds", lrdmd.SnapshotPair(X=X, Y=2 * X), {})
+        data, manifest = lio.read_dataset(tmp_path / "ds")
+        assert manifest["N"] is None and manifest["T"] is None
+        assert (data.n_traj, data.traj_len) == (None, None)
+        assert data.X.tobytes() == X.tobytes()

@@ -280,6 +280,44 @@ class TestTemporalAccuracy:
         assert self._error(physical_config("vi"), lambda cfg, ns: simulate_fields(cfg, b0, tau0, ns), 2) <= 1.5e-10
 
 
+class TestLawsonStages:
+    """``_integrate`` forms its stages in place on float pairs; the values are those of the complex formulas."""
+
+    @staticmethod
+    def _reference(cfg, U, decay, rhs, n_samples):
+        """Lawson RK4 written on complex arrays, one new array per stage."""
+        h, t = cfg.dt, 0.0
+        E, E2 = np.exp(h * decay), np.exp(0.5 * h * decay)
+        out = [U.copy()]
+        for _ in range(1, n_samples):
+            for _ in range(cfg.sample_stride):
+                k1 = rhs(U, t)
+                k2 = rhs(E2 * (U + 0.5 * h * k1), t + 0.5 * h)
+                k3 = E2 * rhs(E2 * U + 0.5 * h * k2, t + 0.5 * h)
+                k4 = rhs(E * U + h * k3, t + h)
+                U = E * U + (h / 6.0) * (((E * k1 + 2 * E2 * k2) + 2 * k3) + k4)
+                rb._flush_tiny(U)
+                t += h
+            out.append(U.copy())
+        return np.stack(out)
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_matches_complex_formulas_bit_for_bit(self, batch):
+        rng = np.random.default_rng(11)
+        shape = (7, 2, batch, 5)
+        U0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        decay = -rng.uniform(0.0, 400.0, (7, 2, 1, 5))
+        couple = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        def rhs(U, t):
+            return couple * U[:, ::-1] - np.cos(t) * U * U
+
+        cfg = RBConfig(dt=1e-3, sample_stride=7)
+        want = self._reference(cfg, U0.copy(), decay, rhs, 4)
+        got = rb._integrate(cfg, U0.copy(), decay, rhs, lambda U, t: U.view(np.float64).copy(), 4)
+        assert got.tobytes() == want.view(np.float64).tobytes()
+
+
 class TestBatch:
     """A stack of N fields is stepped as N independent single-field runs."""
 
