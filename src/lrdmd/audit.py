@@ -4,8 +4,10 @@ The solver and the simulators route their matrix products through ``mm`` /
 ``scale`` so tests can assert complexity contracts (per-step multiply-adds,
 largest intermediate ever formed) without touching the numerics.  Counts are
 real multiply-adds: each complex operand doubles a product's count, so a
-complex path and a real one compare directly.  When no tally is active the
-wrappers are plain ``@`` calls.
+complex path and a real one compare directly.  The largest array is the
+largest product result allocated: a product written into a caller's ``out=``
+buffer allocates nothing, so it counts its multiply-adds and records no
+array.  When no tally is active the wrappers are plain ``@`` calls.
 """
 
 from __future__ import annotations
@@ -20,17 +22,10 @@ _STACK: list["OpTally"] = []
 
 @dataclass
 class OpTally:
-    """Accumulated multiply-add count and largest array formed."""
+    """Multiply-adds counted, and the elements of the largest result allocated (an ``out=`` product allocates none)."""
 
     multiply_adds: int = 0
     max_elements: int = 0
-
-    def _grew(self, *shape: int) -> None:
-        elems = 1
-        for s in shape:
-            elems *= s
-        if elems > self.max_elements:
-            self.max_elements = elems
 
 
 @contextmanager
@@ -44,10 +39,10 @@ def tally():
         _STACK.pop()
 
 
-def _record(mul_adds: int, *result_shape: int) -> None:
+def _record(mul_adds: int, elements: int) -> None:
     for t in _STACK:
         t.multiply_adds += mul_adds
-        t._grew(*result_shape)
+        t.max_elements = max(t.max_elements, elements)
 
 
 def _real_factor(a: np.ndarray, b: np.ndarray) -> int:
@@ -55,12 +50,10 @@ def _real_factor(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def mm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ b`` (written into ``out`` when given) with (rows, inner, cols) recorded on active tallies."""
+    """``a @ b`` with its multiply-adds, and its result unless written into ``out``, recorded on active tallies."""
     if _STACK:
-        rows = a.shape[0]
-        inner = a.shape[-1]
-        cols = b.shape[1] if b.ndim == 2 else 1
-        _record(_real_factor(a, b) * rows * inner * cols, rows, cols)
+        rows, inner, cols = a.shape[0], a.shape[-1], b.shape[1] if b.ndim == 2 else 1
+        _record(_real_factor(a, b) * rows * inner * cols, rows * cols if out is None else 0)
     return np.matmul(a, b, out=out)
 
 
@@ -68,5 +61,5 @@ def scale(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Elementwise product with its real multiply count recorded."""
     out = a * s
     if _STACK:
-        _record(_real_factor(a, s) * out.size, *out.shape)
+        _record(_real_factor(a, s) * out.size, out.size)
     return out

@@ -86,10 +86,7 @@ def cmd_fit(args) -> int:
     )
     if args.method != "optimal":
         return EXIT_OK
-    _say(
-        args,
-        f"closed_form_error={rep.closed_form_error:.8e} gap={rep.closed_form_gap:.3e}",
-    )
+    _say(args, f"closed_form_error={rep.closed_form_error:.8e} gap={rep.closed_form_gap:.3e}")
     reduced = build_svd_reduced_model(op)
     lio.save_reduced(out / "model-reduced.json", reduced, prov)
     spectral = build_spectral_model(op)  # a PairingFailure leaves the two models above and exits 4
@@ -106,18 +103,24 @@ def cmd_fit(args) -> int:
 
 
 def _parse_k_range(text: str, m: int) -> list[int]:
-    if ":" in text:
-        parts = [int(p) for p in text.split(":")]
-        if len(parts) == 2:
-            lo, hi, step = parts[0], parts[1], 1
-        elif len(parts) == 3:
-            lo, hi, step = parts
-        else:
-            raise InvalidInput(f"bad k range {text!r}")
-        return list(range(lo, hi + 1, step))
     if text == "all":
         return list(range(1, m + 1))
-    return [int(p) for p in text.split(",")]
+    ks = []
+    for part in text.split(":" if ":" in text else ","):
+        try:
+            ks.append(int(part))
+        except ValueError:
+            raise InvalidInput(f"bad k range {text!r}: {part!r} is not an integer") from None
+    if ":" not in text:
+        return ks
+    if len(ks) > 3:
+        raise InvalidInput(f"bad k range {text!r}: expected lo:hi or lo:hi:step")
+    lo, hi, step = (*ks, 1)[:3]
+    if step < 1:
+        raise InvalidInput(f"bad k range {text!r}: step {step} is below 1")
+    if lo > hi:
+        raise InvalidInput(f"bad k range {text!r}: lo {lo} exceeds hi {hi}")
+    return list(range(lo, hi + 1, step))
 
 
 def cmd_sweep(args) -> int:
@@ -128,16 +131,12 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["k,method,normalized_error,closed_form_error,flags"]
-    succeeded = 0
     for j, k in enumerate(curve.ks):
         for name in methods:
-            err = curve.errors[name][j]
-            cf = curve.closed_form[j] if (name == "optimal" and curve.closed_form is not None) else None
-            err_s = format(err, ".17g") if np.isfinite(err) else ""
-            cf_s = format(cf, ".17g") if cf is not None and np.isfinite(cf) else ""
-            lines.append(f"{k},{name},{err_s},{cf_s},{curve.flags[name][j]}")
-            if np.isfinite(err):
-                succeeded += 1
+            cf = curve.closed_form[j] if name == "optimal" else np.nan
+            cells = ",".join(format(v, ".17g") if np.isfinite(v) else "" for v in (curve.errors[name][j], cf))
+            lines.append(f"{k},{name},{cells},{curve.flags[name][j]}")
+    succeeded = sum(np.isfinite(curve.errors[name]).sum() for name in methods)
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     title = f"{manifest.get('generator', 'dataset')}: normalized error vs k"
     (out / "sweep.svg").write_text(error_chart(curve.ks, curve.errors, title=title))
@@ -152,8 +151,7 @@ def cmd_sweep(args) -> int:
 
 def _load_theta(args) -> np.ndarray:
     if args.theta_file:
-        M = lio.read_matrix_csv(args.theta_file)
-        theta = M.ravel()
+        theta = lio.read_matrix_csv(args.theta_file).ravel()
     elif args.dataset is not None and args.column is not None:
         X = lio.read_matrix_csv(Path(args.dataset) / lio.X_NAME)  # the initial state is a column of X alone
         if not (0 <= args.column < X.shape[1]):
@@ -169,12 +167,8 @@ def _load_theta(args) -> np.ndarray:
 def cmd_simulate(args) -> int:
     obj, kind, _prov = lio.load_model(args.model)
     theta = _load_theta(args)
-    if kind == "factored":
-        traj = simulate_operator(obj, theta, args.steps)
-    elif kind == "reduced":
-        traj = simulate_reduced(obj, theta, args.steps)
-    else:
-        traj = simulate_spectral(obj, theta, args.steps)
+    simulate = {"factored": simulate_operator, "reduced": simulate_reduced, "spectral": simulate_spectral}[kind]
+    traj = simulate(obj, theta, args.steps)
     lio.write_matrix_csv(args.out, traj.states)
     residue = "" if traj.max_imag_residue is None else f" max_imag_residue={traj.max_imag_residue:.3e}"
     _say(args, f"wrote {args.steps} x {obj.n} trajectory ({kind} model) to {args.out}{residue}")

@@ -13,9 +13,12 @@ its name matches the CSV it read and parses the text otherwise, so the CSV
 stays the source of truth and an edited CSV is never shadowed by its copy.
 Models are single JSON files embedding their matrices as CSV-format text
 blocks (complex matrices split into _re/_im blocks); one writer and one
-reader lay out all three kinds.  Every reader rejects another schema
-version, a layout (n, m or dims) that disagrees with the matrices and an N, T
-that are not both null or both positive integers.
+reader lay out all three kinds.  Every reader rejects a document that is not
+JSON, another schema version, a layout (n, m or dims) that disagrees with the
+matrices and an N, T that are not both null or both positive integers; the
+model reader also rejects blocks that are not text, lack an array of the
+model's kind or split one into _re/_im halves of two shapes, and flags that
+are not a list of strings.
 """
 
 from __future__ import annotations
@@ -120,7 +123,10 @@ def dump_json(obj: dict) -> str:
 
 def _read_document(path: Path) -> dict:
     """A manifest or model document: a JSON object carrying this module's ``schema_version``."""
-    doc = json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for a file that is not text
+        raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidInput(f"{path} is not a JSON object")
     version = doc.get("schema_version")
@@ -188,15 +194,29 @@ def _save_model(path: Path | str, kind: str, model, flags, provenance: dict, **a
     Path(path).write_text(dump_json(doc))
 
 
-def _read_blocks(blocks: dict[str, str]) -> dict[str, np.ndarray]:
-    """The named arrays of a model document, each ``<name>_re``/``<name>_im`` pair joined into one."""
-    arrays = {name: block_to_matrix(text) for name, text in blocks.items()}
-    for re_name in [name for name in arrays if name.endswith("_re")]:
-        name = re_name[:-3]
-        # Parts are assigned, not summed as re + 1j * im, which loses the sign of zeros and turns inf into nan.
-        out = arrays.pop(re_name).astype(complex)
-        out.imag = arrays.pop(f"{name}_im")
-        arrays[name] = out
+#: Each model kind's arrays, as ``_save_model`` is given them, and the model ``load_model`` builds from them.
+_MODEL_KINDS = {
+    "factored": (("P", "Q"), lambda a, f: FactoredOperator(**a, flags=f)),
+    "reduced": (("L", "R", "S"), lambda a, f: ReducedModel(**a)),
+    "spectral": (("eigvals", "zeta", "xi"), lambda a, f: SpectralModel(a["eigvals"].ravel(), a["zeta"], a["xi"], f)),
+}
+
+
+def _read_blocks(path: Path, blocks, names: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """The arrays ``names`` of a model document's ``blocks``, each one block or a ``<name>_re``/``<name>_im`` pair."""
+    if not isinstance(blocks, dict):
+        raise InvalidInput(f"{path}: 'blocks' must be an object, got {blocks!r:.40}")
+    arrays = {}
+    for name in names:
+        keys = [name] if name in blocks else [f"{name}_re", f"{name}_im"]
+        for key in keys:
+            if not isinstance(blocks.get(key), str):
+                raise InvalidInput(f"{path}: block {key!r} is {'not a string' if key in blocks else 'missing'}")
+        parts = [block_to_matrix(blocks[key]) for key in keys]
+        if len(parts) == 2 and parts[0].shape != parts[1].shape:
+            raise InvalidInput(f"{path}: blocks {keys[0]!r} and {keys[1]!r} differ in shape")
+        # Joined as float pairs, not summed as re + 1j * im, which loses the sign of zeros and turns inf into nan.
+        arrays[name] = parts[0] if len(parts) == 1 else np.stack(parts, axis=-1).view(complex)[..., 0]
     return arrays
 
 
@@ -215,18 +235,15 @@ def save_spectral(path: Path | str, model: SpectralModel, provenance: dict) -> N
 
 def load_model(path: Path | str):
     """Load any model file; returns (object, kind, provenance).  Its ``dims`` must match its blocks."""
-    doc = _read_document(Path(path))
-    kind = doc.get("kind")
-    a = _read_blocks(doc.get("blocks", {}))
-    flags = tuple(doc.get("flags", []))
-    if kind == "factored":
-        obj = FactoredOperator(P=a["P"], Q=a["Q"], flags=flags)
-    elif kind == "reduced":
-        obj = ReducedModel(L=a["L"], R=a["R"], S=a["S"])
-    elif kind == "spectral":
-        obj = SpectralModel(eigvals=a["eigvals"].ravel(), right_vecs=a["zeta"], left_vecs=a["xi"], flags=flags)
-    else:
-        raise InvalidInput(f"unknown model kind {kind!r}")
+    path = Path(path)
+    doc = _read_document(path)
+    kind, flags = doc.get("kind"), doc.get("flags", [])
+    if not isinstance(kind, str) or kind not in _MODEL_KINDS:
+        raise InvalidInput(f"{path}: unknown model kind {kind!r}")
+    if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
+        raise InvalidInput(f"{path}: 'flags' must be a list of strings, got {flags!r:.40}")
+    names, build = _MODEL_KINDS[kind]
+    obj = build(_read_blocks(path, doc.get("blocks"), names), tuple(flags))
     if doc.get("dims") != {"n": obj.n, "r": obj.r}:
-        raise InvalidInput(f"model dims {doc.get('dims')} but its blocks give n={obj.n}, r={obj.r}")
+        raise InvalidInput(f"{path}: model dims {doc.get('dims')} but its blocks give n={obj.n}, r={obj.r}")
     return obj, kind, doc.get("provenance", {})

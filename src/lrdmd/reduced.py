@@ -12,13 +12,13 @@ n-by-n matrix:
 
 All three simulators (these two and the factored operator itself) share one
 path: the whole latent path is computed first in r-space at O(T r^2), and the
-n-space states are then written into the (T, n) output by one real GEMM per
-block of ``LIFT_BLOCK`` rows.  A matrix-vector product per step would re-read
-the n-by-r decoder for every state it writes.  The spectral lift is real and
-r columns wide: an exactly conjugate pair of modes shares the two columns
-``[Re zeta, Im zeta]`` and a mode with a real vector takes one.  The output is
-written once and never read back: a bound computed in r-space proves each
-lifted row finite, and only the rows it cannot certify are checked.
+n-space states are then written into the (T, n) output by one real GEMM.  A
+matrix-vector product per step would re-read the n-by-r decoder for every
+state it writes.  The spectral lift is real and r columns wide: an exactly
+conjugate pair of modes shares the two columns ``[Re zeta, Im zeta]`` and a
+mode with a real vector takes one.  The output is written once and never read
+back: a bound computed in r-space proves each lifted row finite, and only the
+rows it cannot certify are checked.
 
 Note on the first construction: for ``A = P Q^T`` with orthonormal P, the
 recursion that reproduces A-powers exactly is the one that encodes with Q
@@ -45,11 +45,6 @@ ZERO_EIG_TOL = 1e-10
 #: Eigenvector-basis condition number beyond which the operator is treated
 #: as numerically defective (warned, not fatal).
 DEFECTIVE_COND = 1e8
-
-#: Rows of the (T, n) trajectory written per lift GEMM.  Each block is one
-#: audited product, so the tally's largest array stays LIFT_BLOCK x n however
-#: long the horizon.
-LIFT_BLOCK = 128
 
 #: A lifted row whose bound ``b_t = sum_j max_i |basis_ij| |path_tj|`` is at
 #: most this is finite by construction: each GEMM entry is a sum of r products,
@@ -122,7 +117,7 @@ def build_svd_reduced_model(op: FactoredOperator) -> ReducedModel:
     """Reduced recursion from an optimal factored operator (encoder Q, decoder P)."""
     if not op.has_orthonormal_p():
         raise InvalidOperator("reduced model requires an operator with orthonormal P columns")
-    return ReducedModel(L=op.Q.copy(), R=op.P.copy(), S=op.Q.T @ op.P)
+    return ReducedModel(L=op.Q.copy(), R=op.P.copy(), S=audit.mm(op.Q.T, op.P))
 
 
 def _kept_left_rows(K: np.ndarray, lam: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -160,7 +155,7 @@ def build_spectral_model(op: FactoredOperator) -> SpectralModel:
     empty = SpectralModel(eigvals=np.zeros(0, dtype=complex), right_vecs=z, left_vecs=z.copy())
     if op.r == 0:
         return empty
-    K = op.Q.T @ op.P
+    K = audit.mm(op.Q.T, op.P)
     eig = eig_nonsymmetric(K)
     lam, W = eig.values, eig.vectors
     scale = float(np.max(np.abs(lam)))
@@ -223,7 +218,7 @@ def _raise_first_nonfinite(out: np.ndarray, rows) -> None:
 
 
 def _lift(basis: np.ndarray, path: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out[s + t] = basis @ path[t]`` for ``s = len(out) - len(path)``, one GEMM per ``LIFT_BLOCK`` rows.
+    """``out[s + t] = basis @ path[t]`` for ``s = len(out) - len(path)``, by one GEMM into ``out``.
 
     Every row of ``out`` is then finite, or ``SimulationBlowup`` names the
     first that is not.  The first s rows are the caller's and are checked
@@ -233,8 +228,7 @@ def _lift(basis: np.ndarray, path: np.ndarray, out: np.ndarray) -> np.ndarray:
     """
     s = out.shape[0] - path.shape[0]
     _raise_first_nonfinite(out, range(s))
-    for lo in range(0, path.shape[0], LIFT_BLOCK):
-        audit.mm(path[lo : lo + LIFT_BLOCK], basis.T, out=out[s + lo : s + lo + LIFT_BLOCK])
+    audit.mm(path, basis.T, out=out[s:])
     bound = audit.mm(np.abs(path), np.max(np.abs(basis), axis=0, initial=0.0))
     _raise_first_nonfinite(out, s + np.flatnonzero(~(bound <= CERTIFIED_BOUND)))
     return out

@@ -203,7 +203,7 @@ class FactoredOperator:
         return float(np.sqrt(max(g, 0.0)))
 
     def has_orthonormal_p(self) -> bool:
-        g = self.P.T @ self.P
+        g = audit.mm(self.P.T, self.P)
         return bool(np.linalg.norm(g - np.eye(self.r)) <= 1e-8 * max(1.0, self.r))
 
 

@@ -376,6 +376,22 @@ class TestErrorSweep:
         with pytest.raises(InvalidInput):
             error_sweep(toy_datasets["ii"], [41])
 
+    def test_unknown_method_rejected(self, toy_datasets):
+        with pytest.raises(InvalidInput, match="unknown methods: \\['exact'\\]"):
+            error_sweep(toy_datasets["ii"], [1, 2], methods=("optimal", "exact"))
+
+    def test_failing_fit_leaves_its_cells_flagged(self, toy_datasets, monkeypatch):
+        def boom(data):
+            raise lrdmd.InvalidOperator("synthetic failure")
+
+        monkeypatch.setitem(lrdmd.benchmarks.SOLVERS, "truncated", boom)
+        curve = error_sweep(toy_datasets["ii"], [1, 2, 3])
+        assert np.all(np.isnan(curve.errors["truncated"]))
+        assert curve.flags["truncated"] == ["error:InvalidOperator"] * 3
+        for name in ("optimal", "projected"):
+            assert np.all(np.isfinite(curve.errors[name])), name
+        assert np.all(np.isfinite(curve.closed_form))
+
     def test_noisy_sweep_optimal_below_truncated_at_3(self, spectral_datasets):
         curve = error_sweep(spectral_datasets["noisy"], [3], methods=("optimal", "truncated"))
         assert curve.errors["optimal"][0] < curve.errors["truncated"][0]

@@ -850,3 +850,172 @@ class TestManifestFieldTypes:
         assert manifest["N"] is None and manifest["T"] is None
         assert (data.n_traj, data.traj_len) == (None, None)
         assert data.X.tobytes() == X.tobytes()
+
+
+@pytest.fixture(scope="module")
+def toy_fit(tmp_path_factory):
+    """A toy-ii dataset (seed 7) and its three k = 3 models, shared by tests that only read them."""
+    root = tmp_path_factory.mktemp("toy-fit")
+    assert main(["generate", "toy-ii", "--seed", "7", "--out", str(root / "ds"), "--quiet"]) == 0
+    assert main(["fit", str(root / "ds"), "--k", "3", "--out", str(root / "fit"), "--quiet"]) == 0
+    return root / "ds", root / "fit"
+
+
+#: The block of each kind that a mutation replaces, and the one it deletes (for spectral, one half of a pair).
+_REPLACED_BLOCK = {"factored": "P", "reduced": "L", "spectral": "zeta_re"}
+_DELETED_BLOCK = {"factored": "Q", "reduced": "S", "spectral": "zeta_im"}
+
+
+def _set(key, value):
+    return lambda doc, kind: {**doc, key: value}
+
+
+def _set_block(value):
+    return lambda doc, kind: {**doc, "blocks": {**doc["blocks"], _REPLACED_BLOCK[kind]: value}}
+
+
+def _drop_block(doc, kind):
+    return {**doc, "blocks": {k: v for k, v in doc["blocks"].items() if k != _DELETED_BLOCK[kind]}}
+
+
+class TestModelFileTypes:
+    """A model file whose blocks or flags have the wrong type, or that lacks a block, exits 2 naming file and key."""
+
+    MUTATIONS = {
+        "blocks-list": (lambda doc, kind: {**doc, "blocks": list(doc["blocks"].values())}, "'blocks' must be an object"),
+        "blocks-str": (_set("blocks", "abc"), "'blocks' must be an object"),
+        "blocks-null": (_set("blocks", None), "'blocks' must be an object"),
+        "blocks-missing": (lambda doc, kind: {k: v for k, v in doc.items() if k != "blocks"}, "'blocks' must be"),
+        "block-number": (_set_block(1.5), "is not a string"),
+        "block-list": (_set_block(["1,1", "0"]), "is not a string"),
+        "block-missing": (_drop_block, "is missing"),
+        "flags-number": (_set("flags", 3), "'flags' must be a list of strings"),
+        "flags-str": (_set("flags", "abc"), "'flags' must be a list of strings"),
+        "flags-dict": (_set("flags", {"rank_deficient": 1}), "'flags' must be a list of strings"),
+        "flags-number-item": (_set("flags", ["rank_deficient", 1]), "'flags' must be a list of strings"),
+        "not-json": (None, "is not valid JSON"),
+    }
+
+    @staticmethod
+    def _mutated(toy_fit, tmp_path, kind, mutation):
+        source = toy_fit[1] / f"model-{kind}.json"
+        model = tmp_path / source.name
+        edit, message = TestModelFileTypes.MUTATIONS[mutation]
+        if edit is None:
+            model.write_text(source.read_text()[:-3])
+        else:
+            model.write_text(json.dumps(edit(json.loads(source.read_text()), kind)))
+        return model, message
+
+    @staticmethod
+    def _assert_exit2(argv, capsys, model, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(model) in err and message in err, err
+
+    @pytest.mark.parametrize("mutation", list(MUTATIONS))
+    @pytest.mark.parametrize("kind", ["factored", "reduced", "spectral"])
+    def test_simulate_exit2(self, toy_fit, tmp_path, capsys, kind, mutation):
+        model, message = self._mutated(toy_fit, tmp_path, kind, mutation)
+        argv = ["simulate", str(model), "--dataset", str(toy_fit[0]), "--column", "0", "--steps", "3"]
+        self._assert_exit2(argv + ["--out", str(tmp_path / "traj.csv"), "--quiet"], capsys, model, message)
+        assert not (tmp_path / "traj.csv").exists()
+
+    @pytest.mark.parametrize("mutation", list(MUTATIONS))
+    def test_verify_spectral_model_exit2(self, toy_fit, tmp_path, capsys, mutation):
+        model, message = self._mutated(toy_fit, tmp_path, "spectral", mutation)
+        argv = ["verify", str(toy_fit[0]), "--k", "3", "--spectral-model", str(model), "--quiet"]
+        self._assert_exit2(argv, capsys, model, message)
+
+    @pytest.mark.parametrize("block", ["zeta_im", "xi_re"])
+    def test_pair_halves_of_other_shapes_exit2(self, toy_fit, tmp_path, capsys, block):
+        # A 1x1 half would broadcast over the other one.
+        model = tmp_path / "model-spectral.json"
+        doc = json.loads((toy_fit[1] / model.name).read_text())
+        model.write_text(json.dumps({**doc, "blocks": {**doc["blocks"], block: "1,1\n0\n"}}))
+        argv = ["simulate", str(model), "--dataset", str(toy_fit[0]), "--column", "0", "--steps", "3"]
+        self._assert_exit2(argv + ["--out", str(tmp_path / "traj.csv"), "--quiet"], capsys, model, "differ in shape")
+
+    def test_manifest_not_json_exit2(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        assert main(["generate", "toy-ii", "--seed", "7", "--out", str(ds), "--quiet"]) == 0
+        manifest = ds / lio.MANIFEST_NAME
+        manifest.write_text(manifest.read_text()[:-3])
+        argv = ["fit", str(ds), "--k", "3", "--out", str(tmp_path / "fit"), "--quiet"]
+        self._assert_exit2(argv, capsys, manifest, "is not valid JSON")
+
+
+class TestKRange:
+    """``sweep --k-range`` in its list and step forms, and a malformed range exiting 2 with its reason."""
+
+    @pytest.mark.parametrize("text, ks", [("1,3,5", [1, 3, 5]), ("1:9:4", [1, 5, 9])])
+    def test_forms_write_exactly_their_rows(self, toy_fit, tmp_path, text, ks):
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(toy_fit[0]), "--k-range", text, "--out", str(out), "--quiet"]) == 0
+        with open(out / "sweep.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [(int(r["k"]), r["method"]) for r in rows] == [
+            (k, name) for k in ks for name in ("optimal", "truncated", "projected")
+        ]
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("1:5:0", "step 0 is below 1"),
+            ("1:5:-2", "step -2 is below 1"),
+            ("a:b", "'a' is not an integer"),
+            ("1,,2", "'' is not an integer"),
+            ("1:", "'' is not an integer"),
+            ("5:1", "lo 5 exceeds hi 1"),
+            ("1:2:3:4", "expected lo:hi or lo:hi:step"),
+        ],
+    )
+    def test_bad_range_exit2(self, toy_fit, tmp_path, capsys, text, reason):
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(toy_fit[0]), "--k-range", text, "--out", str(out), "--quiet"]) == 2
+        assert f"error: bad k range {text!r}: {reason}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestCliPaths:
+    """CLI branches that report a condition: a wrong model kind, a missing θ, a pairing failure, flagged models."""
+
+    def test_verify_spectral_model_of_another_kind_exit2(self, toy_fit, capsys):
+        model = toy_fit[1] / "model-factored.json"
+        assert main(["verify", str(toy_fit[0]), "--k", "3", "--spectral-model", str(model), "--quiet"]) == 2
+        assert "--spectral-model file has kind 'factored'" in capsys.readouterr().err
+
+    def test_simulate_without_initial_condition_exit2(self, toy_fit, tmp_path, capsys):
+        argv = ["simulate", str(toy_fit[1] / "model-reduced.json"), "--steps", "3", "--out", str(tmp_path / "t.csv")]
+        for source in ([], ["--dataset", str(toy_fit[0])], ["--column", "0"]):
+            assert main(argv + source) == 2, source
+            assert "need --theta-file or --dataset with --column" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_verify_pairing_failure_exit5(self, toy_fit, monkeypatch, capsys):
+        import lrdmd.cli as cli_mod
+        from lrdmd.errors import PairingFailure
+
+        def boom(op):
+            raise PairingFailure("synthetic failure")
+
+        monkeypatch.setattr(cli_mod, "build_spectral_model", boom)
+        assert main(["verify", str(toy_fit[0]), "--k", "3"]) == 5
+        captured = capsys.readouterr()
+        assert "check eigen-pairing: FAIL (synthetic failure)" in captured.out
+        assert "verification failed: eigen-pairing" in captured.err
+
+    def test_fit_reports_spectral_flags(self, toy_fit, tmp_path, monkeypatch, capsys):
+        import dataclasses
+
+        import lrdmd.cli as cli_mod
+
+        def flagged(op):
+            return dataclasses.replace(lrdmd.build_spectral_model(op), flags=("ill_conditioned_eigenbasis",))
+
+        monkeypatch.setattr(cli_mod, "build_spectral_model", flagged)
+        assert main(["fit", str(toy_fit[0]), "--k", "3", "--out", str(tmp_path / "fit")]) == 0
+        assert "spectral flags: ill_conditioned_eigenbasis" in capsys.readouterr().out
+        spectral, _, _ = lio.load_model(tmp_path / "fit" / "model-spectral.json")
+        assert spectral.flags == ("ill_conditioned_eigenbasis",)

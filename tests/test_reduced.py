@@ -180,6 +180,13 @@ class TestSimulateReduced:
         with pytest.raises(InvalidInput):
             simulate_reduced(model, np.ones(25), 0)
 
+    def test_build_counts_its_products(self):
+        # P^T P for the orthonormality check and S = Q^T P, each n r^2 multiply-adds
+        op, _, _ = _random_optimal(7, n=1000, m=12, k=5)
+        with audit.tally() as t:
+            build_svd_reduced_model(op)
+        assert t.multiply_adds >= 2 * 1000 * 5 * 5
+
     def test_per_step_cost(self):
         op, _, rng = _random_optimal(6, n=120, m=12, k=5)
         model = build_svd_reduced_model(op)
@@ -386,10 +393,10 @@ class TestSpectralModel:
 
 
 class TestWholeHorizon:
-    """The latent path plus blocked lift against the step-by-step loops, across the subnormal range."""
+    """The latent path plus one-GEMM lift against the step-by-step loops, across the subnormal range."""
 
     T = 300  # at gain 1, |lambda|^t reaches the subnormal range near t = 160
-    CASES = ((0, 1.0), (1, 1.0), (2, 80.0))  # (seed, gain): gain 80 keeps every lift block above 1e-6
+    CASES = ((0, 1.0), (1, 1.0), (2, 80.0))  # (seed, gain): gain 80 keeps every lifted state above 1e-6
 
     def test_factored_and_reduced_match_loops(self):
         for seed, gain in self.CASES:
@@ -442,6 +449,26 @@ class TestWholeHorizon:
             finally:
                 tracemalloc.stop()
             assert peak <= traj.states.nbytes + 4 * op.n * model.r * 16, simulate.__name__
+
+    def test_tally_counts_the_lift_and_records_no_trajectory(self):
+        # The lift writes into the trajectory, so the largest array a tally records is r-space; its
+        # multiply-adds are still counted: (T - 1) r n for the factor simulators and T r n for the spectral one.
+        op, rng = _decaying_operator(4, n=4000)
+        n, r, T = op.n, op.r, self.T
+        theta = rng.standard_normal(n)
+        spectral = build_spectral_model(op)
+        assert r == spectral.r == 6 and np.any(spectral.eigvals.imag)
+        factors = r * n + (T - 2) * r * r + (T - 1) * (r * n + r)
+        expected = {
+            simulate_operator: (op, factors + n * r * r),
+            simulate_reduced: (build_svd_reduced_model(op), factors),
+            simulate_spectral: (spectral, 2 * r * n + 4 * r * (T - 1) + T * (r * n + r + 2 * r * r)),
+        }
+        for simulate, (model, madds) in expected.items():
+            with audit.tally() as t:
+                simulate(model, theta, T)
+            assert t.max_elements <= 2 * T * r, simulate.__name__
+            assert t.multiply_adds == madds, simulate.__name__
 
 
 class TestSimulateSpectral:

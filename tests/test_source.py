@@ -1,4 +1,7 @@
-"""Source hygiene: every name a package module imports is used, and is the standard library, numpy or lrdmd."""
+"""Source hygiene: every name a package module imports is used, and is the standard library, numpy or lrdmd.
+
+The README's library quick start runs as written.
+"""
 
 import ast
 import sys
@@ -62,3 +65,13 @@ def test_import_checker_finds_every_absolute_import():
 @pytest.mark.parametrize("path", EVERY_MODULE, ids=[p.stem for p in EVERY_MODULE])
 def test_imports_only_declared_dependencies(path):
     assert imported_roots(path.read_text()) - ALLOWED_ROOTS == set()
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["traj"].states.shape == (11, 50)
+    assert len(namespace["errs"]) == 20
