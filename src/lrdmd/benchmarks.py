@@ -27,7 +27,7 @@ from .rb import (
     simulate_linear_fields,
 )
 from .reduced import SpectralModel, build_spectral_model, simulate_spectral
-from .solver import SnapshotPair, error_report, fit_optimal, fit_projected, fit_truncated, optimal_lowrank
+from .solver import SnapshotPair, _report, fit_optimal, fit_projected, fit_truncated, optimal_lowrank
 
 RNG_NAME = "numpy-pcg64/standard_normal"
 
@@ -347,14 +347,18 @@ def error_sweep(
 ) -> ErrorCurve:
     """Normalised error ``||Y - A_k X||_F / ||Y||_F`` over k for each method.
 
-    Each method is fitted once and every k is read off that fit.  A method
-    whose fit fails has its cells flagged and left NaN instead of aborting
-    the sweep.  For the optimal method the normalised closed-form error and
-    the error theorem's relative gap are reported as well.
+    Each k is kept once, in ascending order, and each method once, in the
+    given order.  Each method is fitted once, and ``LowRankFit.residuals_fro``
+    reads every k's direct residual off that fit, each a rank-one update of
+    the previous k's, in O(n m (m + rank)).  A method whose fit fails has its
+    cells flagged and left NaN instead of aborting the sweep.  For the
+    optimal method the normalised closed-form error and the error theorem's
+    relative gap are reported as well.
     """
-    ks = np.array(sorted(int(k) for k in k_range), dtype=int)
+    ks = np.array(sorted({int(k) for k in k_range}), dtype=int)
     if ks.size == 0 or ks[0] < 1 or ks[-1] > data.m:
         raise InvalidInput(f"k range must lie within [1, {data.m}]")
+    methods = tuple(dict.fromkeys(methods))
     unknown = [m for m in methods if m not in SOLVERS]
     if unknown:
         raise InvalidInput(f"unknown methods: {unknown}")
@@ -369,12 +373,12 @@ def error_sweep(
         except LrdmdError as exc:
             flags[name] = [f"error:{type(exc).__name__}"] * ks.size
             continue
-        for j, k in enumerate(ks):
-            op = fit.operator(int(k))
-            rep = error_report(op, data, closed_form_sq=fit.error_sq(int(k)))
+        direct = fit.residuals_fro(data, int(ks[-1]))
+        for j, k in enumerate(ks.tolist()):
+            rep = _report(float(direct[k - 1]), data, fit.error_sq(k))
             if rep.closed_form_error is not None:
                 closed[j] = rep.closed_form_error / norm_y if norm_y > 0 else 0.0
                 gap[j] = rep.closed_form_gap
             errors[name][j] = rep.normalized
-            flags[name][j] = ";".join(op.flags)
+            flags[name][j] = ";".join(fit._flags_at(k))
     return ErrorCurve(ks=ks, errors=errors, closed_form=closed, closed_form_gap=gap, flags=flags)

@@ -126,17 +126,16 @@ def _parse_k_range(text: str, m: int) -> list[int]:
 def cmd_sweep(args) -> int:
     data, manifest = lio.read_dataset(args.dataset)
     ks = _parse_k_range(args.k_range, data.m)
-    methods = tuple(args.methods.split(","))
-    curve = error_sweep(data, ks, methods)
+    curve = error_sweep(data, ks, args.methods.split(","))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["k,method,normalized_error,closed_form_error,flags"]
     for j, k in enumerate(curve.ks):
-        for name in methods:
+        for name in curve.methods:
             cf = curve.closed_form[j] if name == "optimal" else np.nan
             cells = ",".join(format(v, ".17g") if np.isfinite(v) else "" for v in (curve.errors[name][j], cf))
             lines.append(f"{k},{name},{cells},{curve.flags[name][j]}")
-    succeeded = sum(np.isfinite(curve.errors[name]).sum() for name in methods)
+    succeeded = sum(np.isfinite(curve.errors[name]).sum() for name in curve.methods)
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     title = f"{manifest.get('generator', 'dataset')}: normalized error vs k"
     (out / "sweep.svg").write_text(error_chart(curve.ks, curve.errors, title=title))

@@ -209,10 +209,14 @@ def _read_blocks(path: Path, blocks, names: tuple[str, ...]) -> dict[str, np.nda
     arrays = {}
     for name in names:
         keys = [name] if name in blocks else [f"{name}_re", f"{name}_im"]
+        parts = []
         for key in keys:
             if not isinstance(blocks.get(key), str):
                 raise InvalidInput(f"{path}: block {key!r} is {'not a string' if key in blocks else 'missing'}")
-        parts = [block_to_matrix(blocks[key]) for key in keys]
+            try:
+                parts.append(block_to_matrix(blocks[key]))
+            except InvalidInput as exc:
+                raise InvalidInput(f"{path}: block {key!r}: {exc}") from exc
         if len(parts) == 2 and parts[0].shape != parts[1].shape:
             raise InvalidInput(f"{path}: blocks {keys[0]!r} and {keys[1]!r} differ in shape")
         # Joined as float pairs, not summed as re + 1j * im, which loses the sign of zeros and turns inf into nan.

@@ -392,6 +392,25 @@ class TestErrorSweep:
             assert np.all(np.isfinite(curve.errors[name])), name
         assert np.all(np.isfinite(curve.closed_form))
 
+    def test_full_sweep_forms_no_operator_per_k(self):
+        # Each k's residual is a rank-one update of the previous k's; one operator and product per cell counted 228.5 n m^2.
+        # The sweep counts 14.1 n m^2, its rank-one terms padded to gemms and so counted twice (3 n m^2 of it not real).
+        from lrdmd import audit
+
+        rng = np.random.default_rng(0)
+        n, m = 2000, 40
+        data = SnapshotPair(X=rng.standard_normal((n, m)), Y=rng.standard_normal((n, m)))
+        with audit.tally() as t:
+            error_sweep(data, range(1, m + 1))
+        assert t.multiply_adds <= 16 * n * m * m
+        assert t.max_elements <= n * m
+
+    def test_repeated_k_and_methods_kept_once(self, toy_datasets):
+        curve = error_sweep(toy_datasets["ii"], [5, 2, 5], methods=("projected", "optimal", "projected"))
+        assert curve.ks.tolist() == [2, 5]
+        assert curve.methods == ["projected", "optimal"]
+        assert all(len(curve.flags[name]) == 2 for name in curve.methods)
+
     def test_noisy_sweep_optimal_below_truncated_at_3(self, spectral_datasets):
         curve = error_sweep(spectral_datasets["noisy"], [3], methods=("optimal", "truncated"))
         assert curve.errors["optimal"][0] < curve.errors["truncated"][0]

@@ -946,6 +946,38 @@ class TestModelFileTypes:
         self._assert_exit2(argv, capsys, manifest, "is not valid JSON")
 
 
+class TestMalformedBlockText:
+    """A model block whose CSV text is malformed exits 2, naming the file and the block."""
+
+    CASES = {
+        "bad-header": ("x,y\n", "bad matrix header 'x,y'"),
+        "short-row": ("2,2\n1,2\n3\n", "row 1 has 1 values, expected 2"),
+        "non-numeric": ("2,2\n1,2\n3,z\n", "bad value in matrix block"),
+    }
+
+    @staticmethod
+    def _model(toy_fit, tmp_path, kind, case):
+        source = toy_fit[1] / f"model-{kind}.json"
+        model = tmp_path / source.name
+        text, reason = TestMalformedBlockText.CASES[case]
+        model.write_text(json.dumps(_set_block(text)(json.loads(source.read_text()), kind)))
+        return model, f"{model}: block {_REPLACED_BLOCK[kind]!r}: {reason}"
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("kind", ["factored", "reduced", "spectral"])
+    def test_simulate_exit2(self, toy_fit, tmp_path, capsys, kind, case):
+        model, message = self._model(toy_fit, tmp_path, kind, case)
+        argv = ["simulate", str(model), "--dataset", str(toy_fit[0]), "--column", "0", "--steps", "3"]
+        TestModelFileTypes._assert_exit2(argv + ["--out", str(tmp_path / "traj.csv"), "--quiet"], capsys, model, message)
+        assert not (tmp_path / "traj.csv").exists()
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_verify_spectral_model_exit2(self, toy_fit, tmp_path, capsys, case):
+        model, message = self._model(toy_fit, tmp_path, "spectral", case)
+        argv = ["verify", str(toy_fit[0]), "--k", "3", "--spectral-model", str(model), "--quiet"]
+        TestModelFileTypes._assert_exit2(argv, capsys, model, message)
+
+
 class TestKRange:
     """``sweep --k-range`` in its list and step forms, and a malformed range exiting 2 with its reason."""
 
@@ -958,6 +990,24 @@ class TestKRange:
         assert [(int(r["k"]), r["method"]) for r in rows] == [
             (k, name) for k in ks for name in ("optimal", "truncated", "projected")
         ]
+
+    def test_repeated_k_written_once(self, toy_fit, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(toy_fit[0]), "--k-range", "3,3,1", "--out", str(out), "--quiet"]) == 0
+        with open(out / "sweep.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [(int(r["k"]), r["method"]) for r in rows] == [
+            (k, name) for k in (1, 3) for name in ("optimal", "truncated", "projected")
+        ]
+
+    def test_repeated_method_written_once(self, toy_fit, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        argv = ["sweep", str(toy_fit[0]), "--k-range", "1:2", "--methods", "optimal,optimal", "--out", str(out)]
+        assert main(argv) == 0
+        assert "(2 cells)" in capsys.readouterr().out
+        with open(out / "sweep.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [(int(r["k"]), r["method"]) for r in rows] == [(1, "optimal"), (2, "optimal")]
 
     @pytest.mark.parametrize(
         "text, reason",

@@ -115,6 +115,21 @@ def test_every_method_gives_rank_k_prefix_factors(data):
                 np.testing.assert_allclose(op.P @ op.Q.T, projected_dmd_dense(data, k), rtol=0, atol=tol)
 
 
+@PROPERTY_SETTINGS
+@given(snapshot_pairs())
+def test_sweep_cells_are_each_operators_direct_residual(data):
+    ks = range(1, data.m + 1)
+    curve = lrdmd.error_sweep(data, ks)
+    norm_y = float(np.linalg.norm(data.Y))
+    for name, solve in lrdmd.SOLVERS.items():
+        fit = solve(data)
+        for j, k in enumerate(ks):
+            op = fit.operator(k)
+            want = op.residual_fro(data) / norm_y if norm_y > 0 else 0.0
+            assert abs(curve.errors[name][j] - want) <= 1e-12, (name, k)
+            assert curve.flags[name][j] == ";".join(op.flags), (name, k)
+
+
 @st.composite
 def spectral_models(draw):
     """A spectral model of real modes, exactly conjugate pairs and lone complex modes, in shuffled order.

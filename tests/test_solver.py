@@ -406,6 +406,35 @@ class TestLowRankFitContract:
             assert op.r == 12 and op.flags == ("rank_deficient_x", "rank_deficient")
 
 
+class TestResidualsFro:
+    """``LowRankFit.residuals_fro``: every k's direct residual off one fit, and a shorter sweep its prefix."""
+
+    @pytest.mark.parametrize("method", ["optimal", "truncated", "projected"])
+    def test_prefix(self, method):
+        rng = np.random.default_rng(38)
+        X = rng.standard_normal((12, 4)) @ rng.standard_normal((4, 8))  # rank 4 < m = 8
+        data = SnapshotPair(X=X, Y=rng.standard_normal((12, 8)))
+        fit = lrdmd.SOLVERS[method](data)
+        full = fit.residuals_fro(data)
+        assert full.shape == (8,)
+        np.testing.assert_array_equal(fit.residuals_fro(data, 3), full[:3])
+        assert np.all(full[fit.rank :] == full[fit.rank - 1])  # past the rank, the rank's operator
+        for k in range(1, 9):
+            assert full[k - 1] == pytest.approx(fit.operator(k).residual_fro(data), rel=1e-12, abs=1e-14)
+
+    def test_k_max_outside_range(self):
+        rng = np.random.default_rng(39)
+        data = SnapshotPair(X=rng.standard_normal((6, 4)), Y=rng.standard_normal((6, 4)))
+        for k_max in (0, 5):
+            with pytest.raises(InvalidRank):
+                fit_optimal(data).residuals_fro(data, k_max)
+
+    def test_degenerate_fit_reads_norm_y(self):
+        data = SnapshotPair(X=np.zeros((6, 4)), Y=np.random.default_rng(40).standard_normal((6, 4)))
+        for solve in lrdmd.SOLVERS.values():
+            np.testing.assert_allclose(solve(data).residuals_fro(data), data.norm_y, rtol=1e-15)
+
+
 class TestNonuniqueAtK:
     @pytest.mark.parametrize("method", ["optimal", "truncated", "projected"])
     def test_flag_at_the_split_of_a_tied_pair_only(self, method):
