@@ -4,10 +4,7 @@ The solver and the simulators route their matrix products through ``mm`` /
 ``scale`` so tests can assert complexity contracts (per-step multiply-adds,
 largest intermediate ever formed) without touching the numerics.  Counts are
 real multiply-adds: each complex operand doubles a product's count, so a
-complex path and a real one compare directly.  The one exception is
-``LowRankFit.residuals_fro``, whose rank-one terms are padded with a zero
-column to inner dimension 2, a gemm, and so count twice their n m real
-multiply-adds.  The largest array is the
+complex path and a real one compare directly.  The largest array is the
 largest product result allocated: a product written into a caller's ``out=``
 buffer allocates nothing, so it counts its multiply-adds and records no
 array.  When no tally is active the wrappers are plain ``@`` calls.

@@ -349,11 +349,11 @@ def error_sweep(
 
     Each k is kept once, in ascending order, and each method once, in the
     given order.  Each method is fitted once, and ``LowRankFit.residuals_fro``
-    reads every k's direct residual off that fit, each a rank-one update of
-    the previous k's, in O(n m (m + rank)).  A method whose fit fails has its
-    cells flagged and left NaN instead of aborting the sweep.  For the
-    optimal method the normalised closed-form error and the error theorem's
-    relative gap are reported as well.
+    reads every k's direct residual off one orthogonal split of Y along that
+    fit's ``P``, in O(n m^2).  A method whose fit fails has its cells flagged
+    and left NaN instead of aborting the sweep.  For the optimal method the
+    normalised closed-form error and the error theorem's relative gap are
+    reported as well.
     """
     ks = np.array(sorted({int(k) for k in k_range}), dtype=int)
     if ks.size == 0 or ks[0] < 1 or ks[-1] > data.m:

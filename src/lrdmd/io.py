@@ -247,7 +247,11 @@ def load_model(path: Path | str):
     if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
         raise InvalidInput(f"{path}: 'flags' must be a list of strings, got {flags!r:.40}")
     names, build = _MODEL_KINDS[kind]
-    obj = build(_read_blocks(path, doc.get("blocks"), names), tuple(flags))
+    arrays = _read_blocks(path, doc.get("blocks"), names)
+    try:
+        obj = build(arrays, tuple(flags))
+    except InvalidInput as exc:  # the model's own shape check
+        raise InvalidInput(f"{path}: {exc}") from exc
     if doc.get("dims") != {"n": obj.n, "r": obj.r}:
         raise InvalidInput(f"{path}: model dims {doc.get('dims')} but its blocks give n={obj.n}, r={obj.r}")
     return obj, kind, doc.get("provenance", {})

@@ -65,6 +65,12 @@ class ReducedModel:
     R: np.ndarray
     S: np.ndarray
 
+    def __post_init__(self):
+        if self.L.ndim != 2 or self.R.shape != self.L.shape or self.S.shape != (self.L.shape[1],) * 2:
+            raise InvalidInput(
+                f"L and R must be n-by-r and S r-by-r, got L {self.L.shape}, R {self.R.shape}, S {self.S.shape}"
+            )
+
     @property
     def r(self) -> int:
         return self.S.shape[0]
@@ -87,6 +93,14 @@ class SpectralModel:
     right_vecs: np.ndarray
     left_vecs: np.ndarray
     flags: tuple[str, ...] = field(default=())
+
+    def __post_init__(self):
+        z, x = self.right_vecs, self.left_vecs
+        if self.eigvals.ndim != 1 or z.ndim != 2 or z.shape != x.shape or z.shape[1] != self.eigvals.size:
+            raise InvalidInput(
+                f"eigvals must have length r and zeta, xi be n-by-r, got eigvals {self.eigvals.shape}, "
+                f"zeta {z.shape}, xi {x.shape}"
+            )
 
     @property
     def r(self) -> int:

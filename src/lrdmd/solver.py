@@ -4,8 +4,8 @@ Given snapshot matrices X, Y (columns are consecutive state pairs), the
 problem is ``min ||Y - A X||_F  s.t.  rank(A) <= k``.  Each method is fitted
 once, by ``fit_optimal``, ``fit_truncated`` or ``fit_projected``, into one
 ``LowRankFit``, and every k is then read off that fit as a column prefix
-(``LowRankFit.residuals_fro`` reads every k's direct residual off the full
-factors, each a rank-one update of the previous k's):
+(``LowRankFit.residuals_fro`` reads every k's direct residual off one
+orthogonal split of Y along the fit's full ``P``):
 
 * the exact closed-form minimiser from two thin SVDs: with
   ``X = U_x S_x V_x^T`` of numerical rank r and ``C = Y V_r = U s W^T``,
@@ -244,8 +244,9 @@ class LowRankFit:
     ``fit_projected``).  The rank-k operator is the first ``min(k, rank)``
     columns of ``P = p_basis @ p_mix`` (``p_basis`` alone when ``p_mix`` is
     None) and ``Q = q_basis @ q_mix``, built per k so that it owns them alone;
-    a slice view would pin the whole n-by-rank factor.  ``s`` holds the
-    singular values whose prefix the fit takes (those of C, D or B), and
+    a slice view would pin the whole n-by-rank factor.  Every method's ``P``
+    has orthonormal columns, which ``residuals_fro`` relies on.  ``s`` holds
+    the singular values whose prefix the fit takes (those of C, D or B), and
     ``leak_sq`` the optimal method's closed-form floor.
     """
 
@@ -278,33 +279,30 @@ class LowRankFit:
         return FactoredOperator(P=P, Q=audit.mm(self.q_basis, self.q_mix[:, :keep]), flags=self._flags_at(k))
 
     def residuals_fro(self, data: SnapshotPair, k_max: int | None = None) -> np.ndarray:
-        """``||Y - A_k X||_F`` of ``operator(k)`` for k = 1..k_max (default m), in O(n m (m + rank)).
+        """``||Y - A_k X||_F`` of ``operator(k)`` for k = 1..k_max (default m), in O(n m^2).
 
-        The full factors ``P`` and ``G = Q^T X = q_mix^T (q_basis^T X)`` are
-        formed once, and the residual ``R_k = R_{k-1} - p_k g_k^T`` starts
-        from ``R_0 = Y``: each value is the direct residual of
-        ``operator(k)``, the same prefix columns applied to the data and
-        summed in another order, never the closed form.  A k past ``rank``
-        reads the rank's value, as ``operator(k)`` stops there.
+        The full ``P`` has orthonormal columns, so with ``H = P^T Y``,
+        ``G = Q^T X`` and ``E = Y - P H`` orthogonal to it, the residual
+        ``Y - P_k G_k = E + P (H - [G_k; 0])`` splits into
+        ``||E||^2 + sum_{j<=k} ||h_j - g_j||^2 + sum_{j>k} ||h_j||^2``: the
+        direct residual of ``operator(k)``, never the closed form.  Every k
+        is read off the full fit, so a shorter sweep is a prefix, and a k
+        past ``rank`` reads the rank's value, as ``operator(k)`` stops there.
         """
         k_max = self.m if k_max is None else k_max
         _check_k(k_max, self.m)
-        keep = min(k_max, self.rank)
-        R = data.Y.copy()
-        term = np.empty_like(R)
-        P = self.p_basis[:, :keep] if self.p_mix is None else audit.mm(self.p_basis, self.p_mix[:, :keep])
-        G = audit.mm(self.q_mix[:, :keep].T, audit.mm(self.q_basis.T, data.X))
-        # numpy's matmul forms an outer product (inner dimension 1) in its own loop, not BLAS, about 4x
-        # slower on a 1024 x 50 term, and a broadcast np.multiply about 2x; a second, zero term makes each
-        # rank-one term a gemm of the same value, which the tally counts as 2 n m multiply-adds, n m of them real.
-        p_pad, g_pad = np.zeros((data.n, 2)), np.zeros((2, data.m))
-        out = np.empty(k_max)
-        for j in range(keep):
-            p_pad[:, 0], g_pad[0] = P[:, j], G[j]
-            np.subtract(R, audit.mm(p_pad, g_pad, out=term), out=R)
-            out[j] = np.linalg.norm(R)
-        out[keep:] = np.linalg.norm(R)
-        return out
+        r = self.rank
+        P = self.p_basis[:, :r] if self.p_mix is None else audit.mm(self.p_basis, self.p_mix[:, :r])
+        G = audit.mm(self.q_mix[:, :r].T, audit.mm(self.q_basis.T, data.X))
+        H = audit.mm(P.T, data.Y)
+        E = audit.mm(P, H)
+        np.subtract(data.Y, E, out=E)
+        D = H - G
+        # The squared residual at k = 0..r: ||E||^2, the first k rows of D and the last r - k rows of H.
+        head = np.concatenate(([0.0], np.cumsum(np.einsum("ij,ij->i", D, D))))
+        tail = np.concatenate((np.cumsum(np.einsum("ij,ij->i", H, H)[::-1])[::-1], [0.0]))
+        sq = float(np.vdot(E, E)) + head + tail
+        return np.sqrt(sq[np.minimum(np.arange(1, k_max + 1), r)])
 
     def error_sq(self, k: int) -> float | None:
         """Closed-form squared error ``sum(s[k:]^2) + leak_sq``; None for a fit without one."""

@@ -229,6 +229,13 @@ class TestSpectralTruth:
         with pytest.raises(InvalidInput):
             gen_spectral_truth(bad, N=2, T=3, seed=0)
 
+    @pytest.mark.parametrize("scale", [2.0, 1 + 1e-5, -1.0])
+    def test_requires_normalised_base(self, spectral_datasets, scale):
+        base = spectral_datasets["base"]
+        bad = lrdmd.SpectralModel(base.eigvals, base.right_vecs, base.left_vecs * np.array([1.0, scale, 1.0]))
+        with pytest.raises(InvalidInput, match="not normalised"):
+            gen_spectral_truth(bad, N=2, T=3, seed=0)
+
 
 class TestGenerate:
     @pytest.mark.parametrize("name", lrdmd.GENERATORS)
@@ -393,8 +400,8 @@ class TestErrorSweep:
         assert np.all(np.isfinite(curve.closed_form))
 
     def test_full_sweep_forms_no_operator_per_k(self):
-        # Each k's residual is a rank-one update of the previous k's; one operator and product per cell counted 228.5 n m^2.
-        # The sweep counts 14.1 n m^2, its rank-one terms padded to gemms and so counted twice (3 n m^2 of it not real).
+        # Every k's residual is read off one orthogonal split of Y per method; one operator and product per cell
+        # counted 228.5 n m^2.  The sweep counts 14.1 n m^2, all of it real: per method G = Q^T X, H = P^T Y and P H.
         from lrdmd import audit
 
         rng = np.random.default_rng(0)

@@ -184,6 +184,20 @@ class TestSvg:
         texts = [el.text for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
         assert "a<b & c\ufffd\ufffd\t" in texts and "x<y>&z" in texts
 
+    @pytest.mark.parametrize(
+        "ks, value, circles, polylines",
+        [([4], 1e-3, 3, 0), ([1, 2, 3, 4, 5], 1e-3, 0, 3), ([1, 2, 3], 0.0, 0, 3)],
+        ids=["single-k", "all-equal", "all-zero"],
+    )
+    def test_degenerate_axes(self, ks, value, circles, polylines):
+        import xml.etree.ElementTree as ET
+
+        series = {name: np.full(len(ks), value) for name in ("optimal", "truncated", "projected")}
+        svg = error_chart(np.array(ks), series, title="flat")
+        ET.fromstring(svg)
+        assert svg.count("<circle") == circles and svg.count("<polyline") == polylines
+        assert "nan" not in svg and "inf" not in svg
+
     def test_sweep_svg_parses_for_any_generator_name(self, tmp_path):
         import xml.etree.ElementTree as ET
 
@@ -894,6 +908,9 @@ class TestModelFileTypes:
         "flags-dict": (_set("flags", {"rank_deficient": 1}), "'flags' must be a list of strings"),
         "flags-number-item": (_set("flags", ["rank_deficient", 1]), "'flags' must be a list of strings"),
         "not-json": (None, "is not valid JSON"),
+        "kind-bogus": (_set("kind", "bogus"), "unknown model kind 'bogus'"),
+        "kind-number": (_set("kind", 3), "unknown model kind 3"),
+        "kind-missing": (lambda doc, kind: {k: v for k, v in doc.items() if k != "kind"}, "unknown model kind None"),
     }
 
     @staticmethod
@@ -944,6 +961,38 @@ class TestModelFileTypes:
         manifest.write_text(manifest.read_text()[:-3])
         argv = ["fit", str(ds), "--k", "3", "--out", str(tmp_path / "fit"), "--quiet"]
         self._assert_exit2(argv, capsys, manifest, "is not valid JSON")
+
+
+class TestModelShapes:
+    """A model whose blocks parse but do not fit together exits 2, naming the file and the blocks."""
+
+    @staticmethod
+    def _model(toy_fit, tmp_path, kind, blocks):
+        source = toy_fit[1] / f"model-{kind}.json"
+        model = tmp_path / source.name
+        doc = json.loads(source.read_text())
+        narrow = lio.matrix_to_block(np.zeros((50, 2)))
+        model.write_text(json.dumps({**doc, "blocks": {**doc["blocks"], **dict.fromkeys(blocks, narrow)}}))
+        return model
+
+    @pytest.mark.parametrize(
+        "kind, blocks, message",
+        [
+            ("reduced", ["L"], "L and R must be n-by-r and S r-by-r, got L (50, 2), R (50, 3), S (3, 3)"),
+            ("spectral", ["xi_re", "xi_im"], "got eigvals (3,), zeta (50, 3), xi (50, 2)"),
+        ],
+        ids=["reduced", "spectral"],
+    )
+    def test_simulate_exit2(self, toy_fit, tmp_path, capsys, kind, blocks, message):
+        model = self._model(toy_fit, tmp_path, kind, blocks)
+        argv = ["simulate", str(model), "--dataset", str(toy_fit[0]), "--column", "0", "--steps", "3"]
+        TestModelFileTypes._assert_exit2(argv + ["--out", str(tmp_path / "traj.csv"), "--quiet"], capsys, model, message)
+        assert not (tmp_path / "traj.csv").exists()
+
+    def test_verify_spectral_model_exit2(self, toy_fit, tmp_path, capsys):
+        model = self._model(toy_fit, tmp_path, "spectral", ["xi_re", "xi_im"])
+        argv = ["verify", str(toy_fit[0]), "--k", "3", "--spectral-model", str(model), "--quiet"]
+        TestModelFileTypes._assert_exit2(argv, capsys, model, f"{model}: eigvals must have length r and zeta, xi be")
 
 
 class TestMalformedBlockText:

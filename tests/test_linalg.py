@@ -1,5 +1,7 @@
 """Core linear-algebra primitives: conventions, invariants, known values."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,17 @@ from lrdmd import (
 from lrdmd.linalg import _fix_phase
 
 from conftest import row_space_projector
+
+
+@pytest.mark.parametrize("solve", [thin_svd, eig_nonsymmetric])
+@pytest.mark.parametrize(
+    "M",
+    [np.ones(3), np.ones((2, 2, 2)), np.zeros((0, 3)), np.zeros((3, 0))],
+    ids=["1-d", "3-d", "no-rows", "no-columns"],
+)
+def test_rejects_a_non_matrix(solve, M):
+    with pytest.raises(InvalidInput, match=re.escape(f"must be 2-d with positive dimensions, got shape {M.shape}")):
+        solve(M)
 
 
 class TestThinSVD:

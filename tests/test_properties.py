@@ -7,7 +7,7 @@ The real spectral lift is checked the same way on drawn spectral models.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lrdmd
@@ -113,6 +113,26 @@ def test_every_method_gives_rank_k_prefix_factors(data):
             np.testing.assert_allclose(op.P.T @ op.P, np.eye(op.r), rtol=0, atol=1e-10)
             if name == "projected":
                 np.testing.assert_allclose(op.P @ op.Q.T, projected_dmd_dense(data, k), rtol=0, atol=tol)
+
+
+def _pair(n, m, rank_x, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, rank_x)) @ rng.standard_normal((rank_x, m))
+    return lrdmd.SnapshotPair(X=X, Y=rng.standard_normal((n, m)))
+
+
+@PROPERTY_SETTINGS
+@given(snapshot_pairs())
+@example(_pair(5, 12, 5, 0))  # wide X
+@example(_pair(30, 10, 4, 1))  # rank-deficient X
+@example(_pair(6, 14, 3, 2))  # both
+def test_every_methods_full_p_is_orthonormal(data):
+    # LowRankFit.residuals_fro splits Y along the full P, so every k's residual needs P^T P = I.
+    for name, solve in lrdmd.SOLVERS.items():
+        fit = solve(data)
+        P = fit.operator(data.m).P
+        assert P.shape == (data.n, fit.rank), name
+        np.testing.assert_allclose(P.T @ P, np.eye(fit.rank), rtol=0, atol=1e-13, err_msg=name)
 
 
 @PROPERTY_SETTINGS

@@ -25,6 +25,21 @@ from lrdmd.rb import (
 TWO_PI = 2 * np.pi
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: rb.cell_mesh((3, 8)), "grid too small: \\(3, 8\\)"),
+        (lambda: rb.cell_mesh((8, 3)), "grid too small: \\(8, 3\\)"),
+        (lambda: split_state(np.ones(31), (4, 4)), "state of length 32 expected, got shape \\(31,\\)"),
+        (lambda: split_state(np.ones((2, 16)), (4, 4)), "state of length 32 expected"),
+    ],
+    ids=["grid-rows", "grid-columns", "state-length", "state-matrix"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(InvalidInput, match=message):
+        call()
+
+
 def _degenerate_ic(sigma=1.0, a_b=TWO_PI, **kw):
     return InitCondition(a_b=a_b, a_tau=TWO_PI, kappa_b=degenerate_kappa_b(sigma, a_b), **kw)
 

@@ -1,5 +1,6 @@
 """Reduced and spectral models: equivalence, eigen residuals, costs."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -95,6 +96,29 @@ def _random_optimal(seed, n=25, m=10, k=4):
     rng = np.random.default_rng(seed)
     data = SnapshotPair(X=rng.standard_normal((n, m)), Y=rng.standard_normal((n, m)))
     return optimal_lowrank(data, k), data, rng
+
+
+_Z, _C = np.zeros((5, 3)), np.zeros((5, 3), dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ReducedModel(L=_Z[:, :2], R=_Z, S=np.eye(3)), "got L (5, 2), R (5, 3), S (3, 3)"),
+        (lambda: ReducedModel(L=_Z, R=_Z[:4], S=np.eye(3)), "got L (5, 3), R (4, 3), S (3, 3)"),
+        (lambda: ReducedModel(L=_Z, R=_Z, S=np.eye(3)[:2]), "got L (5, 3), R (5, 3), S (2, 3)"),
+        (lambda: ReducedModel(L=_Z, R=_Z, S=np.ones(3)), "got L (5, 3), R (5, 3), S (3,)"),
+        (lambda: SpectralModel(np.zeros(3, dtype=complex), _C, _C[:, :2]), "got eigvals (3,), zeta (5, 3), xi (5, 2)"),
+        (lambda: SpectralModel(np.zeros(2, dtype=complex), _C, _C), "got eigvals (2,), zeta (5, 3), xi (5, 3)"),
+        (lambda: SpectralModel(np.zeros((1, 3), dtype=complex), _C, _C), "got eigvals (1, 3), zeta (5, 3), xi (5, 3)"),
+        (lambda: SpectralModel(np.zeros(5, dtype=complex), _C[0], _C[0]), "got eigvals (5,), zeta (3,), xi (3,)"),
+    ],
+    ids=["reduced-L", "reduced-R", "reduced-S-rows", "reduced-S-vector", "spectral-xi", "spectral-eigvals",
+         "spectral-eigvals-matrix", "spectral-vectors-1-d"],
+)
+def test_models_check_their_shapes(build, message):
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        build()
 
 
 class TestReducedModel:
@@ -437,7 +461,7 @@ class TestWholeHorizon:
         assert np.max(np.abs(traj.states - ref)) <= 1e-12 * np.abs(ref).max()
 
     def test_peak_memory_is_the_trajectory(self):
-        # no n-sized temporary per lift block: the peak is the output plus O(nr) factors
+        # one lift GEMM writes into the output: the peak is the output plus O(nr) factors
         op, rng = _decaying_operator(4, n=4000)
         reduced, spectral = build_svd_reduced_model(op), build_spectral_model(op)
         theta = rng.standard_normal(op.n)

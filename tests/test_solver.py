@@ -5,6 +5,7 @@ import pytest
 
 import lrdmd
 from lrdmd import (
+    FactoredOperator,
     InvalidInput,
     InvalidRank,
     SnapshotPair,
@@ -43,6 +44,34 @@ class TestSnapshotPair:
         np.testing.assert_array_equal(pair.Y[:, 0], t1[1])
         np.testing.assert_array_equal(pair.X[:, 3], t2[0])
         np.testing.assert_array_equal(pair.Y[:, 5], t2[3])
+
+
+_RANK1 = FactoredOperator(P=np.eye(3)[:, :1], Q=np.eye(3)[:, :1])
+
+
+@pytest.mark.parametrize(
+    "call, outcome",
+    [
+        (lambda: SnapshotPair(X=np.array([[1.0, np.nan]]), Y=np.ones((1, 2))), "non-finite entries"),
+        (lambda: SnapshotPair(X=np.ones((1, 2)), Y=np.array([[np.inf, 1.0]])), "non-finite entries"),
+        (lambda: SnapshotPair.from_trajectories([]), "need at least one trajectory"),
+        (lambda: SnapshotPair.from_trajectories([np.ones((3, 2)), np.ones((4, 2))]), "share a common shape"),
+        (lambda: SnapshotPair.from_trajectories([np.ones((1, 2))]), "at least two snapshots"),
+        (lambda: FactoredOperator(P=np.ones((4, 2)), Q=np.ones((4, 3))), "equal shapes"),
+        (lambda: FactoredOperator(P=np.ones((4, 2)), Q=np.ones((4, 2))).apply(np.ones(3)), "length 4 expected"),
+        # X Y^T P = 0: the residual is 0 when X X^T Q vanishes too, and infinite otherwise
+        (lambda: first_order_residual(_RANK1, SnapshotPair(X=np.zeros((3, 2)), Y=np.ones((3, 2)))), 0.0),
+        (lambda: first_order_residual(_RANK1, SnapshotPair(X=np.eye(3), Y=np.zeros((3, 3)))), np.inf),
+    ],
+    ids=["x-nan", "y-inf", "no-trajectories", "unequal-trajectories", "one-snapshot", "p-q-shapes", "apply-length",
+         "zero-lhs-zero-rhs", "zero-lhs"],
+)
+def test_input_checks(call, outcome):
+    if isinstance(outcome, str):
+        with pytest.raises(InvalidInput, match=outcome):
+            call()
+    else:
+        assert call() == outcome
 
 
 class TestUnconstrained:
