@@ -10,7 +10,6 @@ from .errors import (
     DiagonalisabilityWarning,
     EigFailure,
     InvalidInput,
-    InvalidOperator,
     InvalidRank,
     LrdmdError,
     PairingFailure,

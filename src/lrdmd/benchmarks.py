@@ -43,6 +43,8 @@ SOLVERS = {
 
 
 def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise InvalidInput(f"seed must be a non-negative integer, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))
 
 

@@ -150,7 +150,10 @@ def cmd_sweep(args) -> int:
 
 def _load_theta(args) -> np.ndarray:
     if args.theta_file:
-        theta = lio.read_matrix_csv(args.theta_file).ravel()
+        theta = lio.read_matrix_csv(args.theta_file)
+        if 1 not in theta.shape:
+            raise InvalidInput(f"{args.theta_file} is {theta.shape[0]}x{theta.shape[1]}, not one row or one column")
+        theta = theta.ravel()
     elif args.dataset is not None and args.column is not None:
         X = lio.read_matrix_csv(Path(args.dataset) / lio.X_NAME)  # the initial state is a column of X alone
         if not (0 <= args.column < X.shape[1]):
@@ -237,7 +240,7 @@ def cmd_verify(args) -> int:
 def _eigen_residuals(op: FactoredOperator, spectral: SpectralModel) -> tuple[float, float]:
     """Worst ``||A zeta - lam zeta||`` and ``|xi^T A zeta - lam| / max(1, |lam|)`` over all eigentriples."""
     lam, zeta = spectral.eigvals, spectral.right_vecs
-    AZ = op.P @ (op.Q.T @ zeta)
+    AZ = op.apply_matrix(zeta)
     res = np.linalg.norm(AZ - zeta * lam, axis=0)
     ray = np.abs(np.sum(spectral.left_vecs * AZ, axis=0) - lam) / np.maximum(1.0, np.abs(lam))
     return float(np.max(res, initial=0.0)), float(np.max(ray, initial=0.0))
@@ -306,7 +309,7 @@ def main(argv=None) -> int:
     except PairingFailure as exc:
         print(f"spectral pairing failure: {exc}", file=sys.stderr)
         return EXIT_PAIRING
-    except (LrdmdError, OSError, KeyError, ValueError) as exc:
+    except (LrdmdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

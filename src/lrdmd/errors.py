@@ -13,10 +13,6 @@ class InvalidRank(LrdmdError):
     """Requested rank outside [1, m]."""
 
 
-class InvalidOperator(LrdmdError):
-    """Factored operator does not satisfy a required structural property."""
-
-
 class EigFailure(LrdmdError):
     """Dense eigensolver failed to converge."""
 

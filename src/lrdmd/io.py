@@ -107,14 +107,18 @@ def _write_dataset_csv(path: Path, M: np.ndarray) -> None:
 def read_matrix_csv(path: Path | str) -> np.ndarray:
     """The matrix of a CSV file; a copy saved by ``write_dataset`` under the CSV's hash stands in for parsing it."""
     path = Path(path)
-    copy = _parsed_copy(path, hashlib.sha256(path.read_bytes()).hexdigest())
+    raw = path.read_bytes()
+    copy = _parsed_copy(path, hashlib.sha256(raw).hexdigest())
     try:
         M = np.load(copy, allow_pickle=False)
     except (OSError, ValueError, EOFError):
         M = None
     if isinstance(M, np.ndarray) and M.ndim == 2 and M.dtype == np.float64 and M.flags.c_contiguous:
         return M
-    return block_to_matrix(path.read_text())
+    try:
+        return block_to_matrix(raw.decode())
+    except (UnicodeDecodeError, InvalidInput) as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
 
 
 def dump_json(obj: dict) -> str:

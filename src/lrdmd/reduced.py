@@ -20,11 +20,8 @@ mode with a real vector takes one.  The output is written once and never read
 back: a bound computed in r-space proves each lifted row finite, and only the
 rows it cannot certify are checked.
 
-Note on the first construction: for ``A = P Q^T`` with orthonormal P, the
-recursion that reproduces A-powers exactly is the one that encodes with Q
-and decodes with P (then ``R S^{t-1} L^T = A^t``); encoding with P instead
-silently projects the initial condition onto range(P).  We store the
-encoder/decoder roles explicitly to keep this unambiguous.
+The first construction is the operator's own recursion: for any factors,
+``R S^{t-1} L^T = P (Q^T P)^{t-1} Q^T = (P Q^T)^t``.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import audit
-from .errors import DiagonalisabilityWarning, InvalidInput, InvalidOperator, PairingFailure, SimulationBlowup
+from .errors import DiagonalisabilityWarning, InvalidInput, PairingFailure, SimulationBlowup
 from .linalg import eig_nonsymmetric
 from .solver import FactoredOperator
 
@@ -128,10 +125,8 @@ class Trajectory:
 
 
 def build_svd_reduced_model(op: FactoredOperator) -> ReducedModel:
-    """Reduced recursion from an optimal factored operator (encoder Q, decoder P)."""
-    if not op.has_orthonormal_p():
-        raise InvalidOperator("reduced model requires an operator with orthonormal P columns")
-    return ReducedModel(L=op.Q.copy(), R=op.P.copy(), S=audit.mm(op.Q.T, op.P))
+    """The recursion of ``A = P Q^T`` (encoder Q, propagator ``Q^T P``, decoder P), sharing the operator's P and Q."""
+    return ReducedModel(L=op.Q, R=op.P, S=audit.mm(op.Q.T, op.P))
 
 
 def _kept_left_rows(K: np.ndarray, lam: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -203,13 +198,17 @@ def build_spectral_model(op: FactoredOperator) -> SpectralModel:
     return SpectralModel(eigvals=lam, right_vecs=zeta, left_vecs=xi, flags=flags)
 
 
-def _checked(theta: np.ndarray, n: int, T: int) -> np.ndarray:
+def _checked(theta: np.ndarray, n: int, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """The initial condition as floats, and the uninitialised (T, n) output of a simulation from it."""
     theta = np.asarray(theta, dtype=float)
     if T < 1:
         raise InvalidInput(f"T must be >= 1, got {T}")
     if theta.shape != (n,):
         raise InvalidInput(f"initial condition of length {n} expected, got shape {theta.shape}")
-    return theta
+    try:
+        return theta, np.empty((T, n))
+    except (ValueError, MemoryError) as exc:
+        raise InvalidInput(f"a {T} x {n} trajectory cannot be allocated: {exc}") from exc
 
 
 def _latent_path(z: np.ndarray, step, count: int) -> np.ndarray:
@@ -250,8 +249,7 @@ def _lift(basis: np.ndarray, path: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _simulate_factors(encoder: np.ndarray, S: np.ndarray, decoder: np.ndarray, theta, T: int) -> Trajectory:
     """``x_1 = theta`` and ``x_t = decoder S^{t-2} encoder^T theta`` for t >= 2."""
-    theta = _checked(theta, decoder.shape[0], T)
-    out = np.empty((T, theta.size))
+    theta, out = _checked(theta, decoder.shape[0], T)
     out[0] = theta
     path = _latent_path(audit.mm(encoder.T, theta), lambda z: audit.mm(S, z), T - 1)
     return Trajectory(states=_lift(decoder, path, out))
@@ -292,7 +290,7 @@ def simulate_spectral(model: SpectralModel, theta: np.ndarray, T: int) -> Trajec
     discarded.  At t = 1 the formula returns theta projected onto the model's
     invariant subspace, not theta itself.
     """
-    theta = _checked(theta, model.n, T)
+    theta, out = _checked(theta, model.n, T)
     # c_t = lambda^{t-1} * nu by repeated products: a complex power adds imaginary roundoff.
     coeff = _latent_path(audit.mm(model.left_vecs.T, theta), lambda c: audit.scale(c, model.eigvals), T)
     zeta = model.right_vecs
@@ -304,7 +302,7 @@ def simulate_spectral(model: SpectralModel, theta: np.ndarray, T: int) -> Trajec
     out_coeff = np.hstack([re[:, real], re[:, first] + re[:, partner], im[:, partner] - im[:, first]])
     imag_coeff = np.hstack([im[:, real], im[:, first] + im[:, partner], re[:, first] - re[:, partner]])
     basis = np.hstack([zeta.real[:, real], zeta.real[:, first], zeta.imag[:, first]])
-    out = _lift(basis, out_coeff, np.empty((T, model.n)))
+    _lift(basis, out_coeff, out)
     # ||basis v|| = ||R v|| for the triangular factor of the basis: the residue costs O(r^2) per step.
     R = np.linalg.qr(basis, mode="r")
     re_part, im_part = audit.mm(out_coeff, R.T), audit.mm(imag_coeff, R.T)

@@ -201,12 +201,8 @@ class FactoredOperator:
 
     def fro_norm(self) -> float:
         """``||A||_F`` from the factors via trace(P^T P Q^T Q)."""
-        g = float(np.sum((self.P.T @ self.P) * (self.Q.T @ self.Q)))
+        g = float(np.sum(audit.mm(self.P.T, self.P) * audit.mm(self.Q.T, self.Q)))
         return float(np.sqrt(max(g, 0.0)))
-
-    def has_orthonormal_p(self) -> bool:
-        g = audit.mm(self.P.T, self.P)
-        return bool(np.linalg.norm(g - np.eye(self.r)) <= 1e-8 * max(1.0, self.r))
 
 
 @dataclass(frozen=True)
@@ -244,10 +240,11 @@ class LowRankFit:
     ``fit_projected``).  The rank-k operator is the first ``min(k, rank)``
     columns of ``P = p_basis @ p_mix`` (``p_basis`` alone when ``p_mix`` is
     None) and ``Q = q_basis @ q_mix``, built per k so that it owns them alone;
-    a slice view would pin the whole n-by-rank factor.  Every method's ``P``
-    has orthonormal columns, which ``residuals_fro`` relies on.  ``s`` holds
-    the singular values whose prefix the fit takes (those of C, D or B), and
-    ``leak_sq`` the optimal method's closed-form floor.
+    a slice view would pin the whole n-by-rank factor.  Every method's
+    ``q_basis`` is ``U_r``, X's left singular vectors above the rank cutoff,
+    and its ``P`` has orthonormal columns, which ``residuals_fro`` relies on.
+    ``s`` holds the singular values whose prefix the fit takes (those of C, D
+    or B), and ``leak_sq`` the optimal method's closed-form floor.
     """
 
     m: int
@@ -369,9 +366,10 @@ def fit_projected(data: SnapshotPair) -> LowRankFit:
     """Projected DMD for every k from the pair's thin SVDs of X and ``B = U_X^T Y V_X = U_B S_B V_B^T``.
 
     ``A_k = U_X B_k S_X^+ U_X^T`` for the rank-k truncation B_k of B, so
-    ``P_k = U_X U_B[:, :k]`` and ``Q_k = U_X S_X^+ V_B[:, :k] diag(S_B[:k])``.
-    Exact when the data admits a companion matrix (columns of A X inside the
-    span of X).  Rank-deficient X falls outside the method's assumption; the
+    ``P_k = U_X U_B[:, :k]`` and ``Q_k = U_r S_r^{-1} V_B[:r, :k] diag(S_B[:k])``,
+    the rows of ``S_X^+`` past the rank r of X being zero.  Exact when the
+    data admits a companion matrix (columns of A X inside the span of X).
+    Rank-deficient X falls outside the method's assumption; the
     pseudo-inverse of S_X is used there and the operators are flagged.  The
     fit's rank counts S_B against ``fit_optimal``'s cutoff.  Both SVDs are
     the pair's cached ones, so a further fit costs O(m^2).
@@ -382,11 +380,9 @@ def fit_projected(data: SnapshotPair) -> LowRankFit:
         return _degenerate_fit(data, "rank_deficient_x")
     flags = ("rank_deficient_x",) if r < min(data.n, data.m) else ()
     svd_b = data.svd_b
-    inv_sx = np.zeros_like(svd_x.S)
-    inv_sx[:r] = 1.0 / svd_x.S[:r]
-    Q_mix = inv_sx[:, None] * svd_b.V * svd_b.S
+    Q_mix = (1.0 / svd_x.S[:r, None]) * svd_b.V[:r] * svd_b.S
     return LowRankFit(
-        data.m, _rank_against_y(svd_b.S, data), svd_x.U, svd_x.U, Q_mix, svd_b.S, flags=flags, p_mix=svd_b.U
+        data.m, _rank_against_y(svd_b.S, data), svd_x.U, svd_x.U[:, :r], Q_mix, svd_b.S, flags=flags, p_mix=svd_b.U
     )
 
 

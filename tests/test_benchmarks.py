@@ -389,12 +389,12 @@ class TestErrorSweep:
 
     def test_failing_fit_leaves_its_cells_flagged(self, toy_datasets, monkeypatch):
         def boom(data):
-            raise lrdmd.InvalidOperator("synthetic failure")
+            raise lrdmd.InvalidInput("synthetic failure")
 
         monkeypatch.setitem(lrdmd.benchmarks.SOLVERS, "truncated", boom)
         curve = error_sweep(toy_datasets["ii"], [1, 2, 3])
         assert np.all(np.isnan(curve.errors["truncated"]))
-        assert curve.flags["truncated"] == ["error:InvalidOperator"] * 3
+        assert curve.flags["truncated"] == ["error:InvalidInput"] * 3
         for name in ("optimal", "projected"):
             assert np.all(np.isfinite(curve.errors[name])), name
         assert np.all(np.isfinite(curve.closed_form))

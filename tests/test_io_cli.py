@@ -5,12 +5,15 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lrdmd
 from lrdmd import io as lio
@@ -1118,3 +1121,98 @@ class TestCliPaths:
         assert "spectral flags: ill_conditioned_eigenbasis" in capsys.readouterr().out
         spectral, _, _ = lio.load_model(tmp_path / "fit" / "model-spectral.json")
         assert spectral.flags == ("ill_conditioned_eigenbasis",)
+
+
+class TestCliInputsExit2:
+    """Inputs that numpy or the UTF-8 codec reject with a ``ValueError`` exit 2 as ``InvalidInput``, naming the cause."""
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe1,1\n2\n", "1,1\n\xe9\n".encode("latin-1")], ids=["utf-16-bom", "latin-1"])
+    def test_csv_that_is_not_utf8_exit2(self, toy_fit, tmp_path, capsys, raw):
+        ds = tmp_path / "ds"
+        shutil.copytree(toy_fit[0], ds)
+        (ds / lio.X_NAME).write_bytes(raw)  # its parsed copy is named by the old hash, so the text is parsed
+        theta = tmp_path / "theta.csv"
+        theta.write_bytes(raw)
+        model = str(toy_fit[1] / "model-factored.json")
+        for argv, path in (
+            (["fit", str(ds), "--k", "3", "--out", str(tmp_path / "fit")], ds / lio.X_NAME),
+            (["simulate", model, "--theta-file", str(theta), "--steps", "3", "--out", str(tmp_path / "t.csv")], theta),
+        ):
+            assert main(argv + ["--quiet"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"{path}: 'utf-8' codec can't decode" in err, err
+
+    @pytest.mark.parametrize("shape, code", [((1, 50), 0), ((50, 1), 0), ((5, 10), 2), ((2, 25), 2)])
+    def test_theta_file_is_one_row_or_one_column(self, toy_fit, tmp_path, capsys, shape, code):
+        theta = tmp_path / "theta.csv"
+        lio.write_matrix_csv(theta, np.ones(shape))
+        argv = ["simulate", str(toy_fit[1] / "model-factored.json"), "--theta-file", str(theta), "--steps", "3"]
+        assert main(argv + ["--out", str(tmp_path / "t.csv"), "--quiet"]) == code
+        if code:
+            assert f"{theta} is {shape[0]}x{shape[1]}, not one row or one column" in capsys.readouterr().err
+            assert not (tmp_path / "t.csv").exists()
+
+    def test_negative_seed_exit2(self, tmp_path, capsys):
+        assert main(["generate", "toy-ii", "--seed", "-1", "--out", str(tmp_path / "ds"), "--quiet"]) == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", [10**20, 2**62])
+    def test_steps_no_array_can_hold_exit2(self, toy_fit, tmp_path, capsys, steps):
+        argv = ["simulate", str(toy_fit[1] / "model-factored.json"), "--dataset", str(toy_fit[0]), "--column", "0"]
+        assert main(argv + ["--steps", str(steps), "--out", str(tmp_path / "t.csv"), "--quiet"]) == 2
+        assert f"a {steps} x 50 trajectory cannot be allocated" in capsys.readouterr().err
+
+
+_DELETED = object()
+
+#: Keys the readers require: the manifest's version and layout, and a model's version, kind, dims and blocks.
+_REQUIRED_KEYS = {("schema_version",), ("n",), ("m",), ("N",), ("T",), ("kind",), ("dims",), ("dims", "n"),
+                  ("dims", "r"), ("blocks",)}
+
+
+def _key_paths(doc: dict) -> list[tuple[str, ...]]:
+    """Each top-level key of ``doc``, and each key of its dict-valued keys."""
+    paths = []
+    for key, value in doc.items():
+        paths.append((key,))
+        if isinstance(value, dict):
+            paths.extend((key, sub) for sub in value)
+    return sorted(paths)
+
+
+class TestStructuralMutations:
+    """A manifest or model document with a key deleted or replaced: every CLI call returns an exit code."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(document=st.sampled_from(["manifest", "factored", "reduced", "spectral"]), data=st.data())
+    def test_every_call_exits_and_a_broken_required_key_exits2(self, toy_fit, tmp_path_factory, document, data):
+        ds, fit = toy_fit
+        source = ds / lio.MANIFEST_NAME if document == "manifest" else fit / f"model-{document}.json"
+        doc = json.loads(source.read_text())
+        path = data.draw(st.sampled_from(_key_paths(doc)), label="key")
+        value = data.draw(st.sampled_from([_DELETED, None, "x", 3, 1.5, [], {}, [1, 2], True]), label="value")
+        parent = doc if len(path) == 1 else doc[path[0]]
+        old = parent[path[-1]]
+        if value is _DELETED:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+
+        work = tmp_path_factory.mktemp("mutation")
+        out = ["--out", str(work / "out"), "--quiet"]
+        if document == "manifest":
+            shutil.copytree(ds, work / "ds")
+            (work / "ds" / lio.MANIFEST_NAME).write_text(json.dumps(doc))
+            target = str(work / "ds")
+            calls = [["fit", target, "--k", "3", *out], ["sweep", target, *out], ["verify", target, "--k", "3", "--quiet"]]
+        else:
+            model = work / source.name
+            model.write_text(json.dumps(doc))
+            calls = [["simulate", str(model), "--dataset", str(ds), "--column", "0", "--steps", "3", *out]]
+            if document == "spectral":
+                calls.append(["verify", str(ds), "--k", "3", "--spectral-model", str(model), "--quiet"])
+        broken = (path in _REQUIRED_KEYS or path[0] == "blocks") and (value is _DELETED or type(value) is not type(old))
+        for argv in calls:
+            code = main(argv)
+            assert code in (0, 2), (argv[0], code)
+            assert code == 2 or not broken, argv[0]

@@ -12,7 +12,6 @@ from lrdmd import (
     DiagonalisabilityWarning,
     FactoredOperator,
     InvalidInput,
-    InvalidOperator,
     ReducedModel,
     SimulationBlowup,
     SnapshotPair,
@@ -129,10 +128,20 @@ class TestReducedModel:
         np.testing.assert_allclose(model.S, [[3.0]], atol=1e-12)
         np.testing.assert_allclose(np.abs(model.R.ravel()), [1.0, 0.0], atol=1e-12)
 
-    def test_requires_orthonormal_p(self):
+    def test_any_factors_reproduce_powers(self):
+        # P = Q = ones: A = 2 * ones(3, 3), so A^t theta = 6^(t-1) * 2 * sum(theta) * ones(3)
         op = FactoredOperator(P=np.ones((3, 2)), Q=np.ones((3, 2)))
-        with pytest.raises(InvalidOperator):
-            build_svd_reduced_model(op)
+        model = build_svd_reduced_model(op)
+        theta = np.array([1.0, -2.0, 4.0])
+        states = simulate_reduced(model, theta, 6).states
+        for t in range(1, 6):
+            np.testing.assert_allclose(states[t], 6.0 ** (t - 1) * 2.0 * theta.sum() * np.ones(3), rtol=1e-14)
+        np.testing.assert_array_equal(states, simulate_operator(op, theta, 6).states)
+
+    def test_shares_the_operators_factors(self):
+        op, _, _ = _random_optimal(8)
+        model = build_svd_reduced_model(op)
+        assert model.L is op.Q and model.R is op.P
 
     def test_power_identity(self):
         # R S^{t-1} L^T theta reproduces the t-th operator power applied to theta
@@ -205,11 +214,11 @@ class TestSimulateReduced:
             simulate_reduced(model, np.ones(25), 0)
 
     def test_build_counts_its_products(self):
-        # P^T P for the orthonormality check and S = Q^T P, each n r^2 multiply-adds
+        # S = Q^T P alone: n r^2 multiply-adds
         op, _, _ = _random_optimal(7, n=1000, m=12, k=5)
         with audit.tally() as t:
             build_svd_reduced_model(op)
-        assert t.multiply_adds >= 2 * 1000 * 5 * 5
+        assert t.multiply_adds == 1000 * 5 * 5
 
     def test_per_step_cost(self):
         op, _, rng = _random_optimal(6, n=120, m=12, k=5)

@@ -313,6 +313,20 @@ class TestOptimal:
         assert t.max_elements < n * n
 
 
+class TestFactoredOperator:
+    def test_fro_norm_counts_its_products(self):
+        # P^T P and Q^T Q, each n r^2 multiply-adds
+        from lrdmd import audit
+
+        rng = np.random.default_rng(42)
+        data = SnapshotPair(X=rng.standard_normal((2000, 40)), Y=rng.standard_normal((2000, 40)))
+        op = optimal_lowrank(data, 10)
+        with audit.tally() as t:
+            norm = op.fro_norm()
+        assert t.multiply_adds == 2 * 2000 * 10 * 10
+        assert norm == pytest.approx(np.linalg.norm(op.Q), rel=1e-12)  # P has orthonormal columns
+
+
 class TestClosedFormError:
     def test_full_rank_reduces_to_Y_tail(self):
         rng = np.random.default_rng(10)
@@ -425,6 +439,15 @@ class TestLowRankFitContract:
         assert fit_projected(data).operator(2).flags == ("degenerate_x", "rank_deficient_x", "rank_deficient")
         assert fit_optimal(data).operator(2).flags == ("degenerate_x", "rank_deficient")
         assert fit_optimal(data).error_sq(2) == pytest.approx(float(np.sum(data.Y**2)), rel=1e-14)
+
+    @pytest.mark.parametrize("method", ["optimal", "truncated", "projected"])
+    def test_q_basis_is_u_r(self, method):
+        rng = np.random.default_rng(41)
+        X = rng.standard_normal((12, 4)) @ rng.standard_normal((4, 8))  # rank 4 < m = 8
+        data = SnapshotPair(X=X, Y=rng.standard_normal((12, 8)))
+        fit = lrdmd.SOLVERS[method](data)
+        np.testing.assert_array_equal(fit.q_basis, data.svd_x.U[:, :4])
+        assert fit.q_mix.shape[0] == 4
 
     def test_rb_iv_projected_past_its_rank(self):
         # X of rb-iv (seed 1) has numerical rank 12 < m = 50, so projected DMD runs outside its assumption.
