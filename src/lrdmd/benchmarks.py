@@ -264,7 +264,8 @@ def add_noise_psnr(data: SnapshotPair, psnr_db: float, seed: int) -> SnapshotPai
     The noise scale solves ``psnr = 20 log10(peak / sigma)`` with peak the
     largest absolute entry over all snapshots; a snapshot shared between X
     and Y receives one noise realisation (the overlap columns stay equal).
-    ``psnr_db = +inf`` returns the data unchanged.
+    ``psnr_db = +inf`` returns the data unchanged; a finite ``psnr_db`` whose
+    noise scale comes out 0 or non-finite raises ``InvalidInput``.
     """
     if psnr_db == np.inf:
         return data
@@ -275,7 +276,12 @@ def add_noise_psnr(data: SnapshotPair, psnr_db: float, seed: int) -> SnapshotPai
     peak = max(float(np.max(np.abs(data.X))), float(np.max(np.abs(data.Y))))
     if peak == 0.0:
         raise InvalidInput("cannot set a PSNR against all-zero data")
-    sigma = peak / (10.0 ** (psnr_db / 20.0))
+    try:
+        sigma = peak / (10.0 ** (psnr_db / 20.0))
+    except (OverflowError, ZeroDivisionError):  # the power overflows, or underflows to 0
+        sigma = np.nan
+    if not 0.0 < sigma < np.inf:
+        raise InvalidInput(f"psnr {psnr_db:g} dB puts the noise scale for peak {peak:g} outside the float range")
     N, T = data.n_traj, data.traj_len
     # One draw per snapshot in (trajectory, time) order, laid out as the data's own trajectories.
     noise = SnapshotPair.from_trajectories(list(sigma * _rng(seed).standard_normal((N, T, data.n))))

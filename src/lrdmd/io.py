@@ -131,6 +131,8 @@ def _read_document(path: Path) -> dict:
         doc = json.loads(path.read_text())
     except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for a file that is not text
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested deeper than the parser recurses
+        raise InvalidInput(f"{path} nests its JSON too deeply to parse") from exc
     if not isinstance(doc, dict):
         raise InvalidInput(f"{path} is not a JSON object")
     version = doc.get("schema_version")

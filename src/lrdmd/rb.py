@@ -21,18 +21,20 @@ integrating-factor RK4 (SIAM J. Numer. Anal. 4, 1967): the diffusion, sigma Lap
 on b and Lap on tau, is integrated exactly, and RK4 steps the rest, so the
 step is set by accuracy, not by diffusive stability.
 
-Coefficients are held as (q, field, batch, f1) arrays; the leading batch axis
-is a stack of trajectories stepped together.  Every transform is a real GEMM
-over the whole stack on the complex array viewed as float pairs: along s2 a
-sine or cosine matrix on axis 0, along s1 a real DFT matrix on the last axis.
-The s1 matrices are built once per grid from ``np.fft`` (Boyd, *Chebyshev and
-Fourier Spectral Methods*, 2nd ed., sections 9-11: matrix-multiply transforms
-at small n), which is never called while stepping or sampling.  The advection
-products are odd in s2, so they are formed only on the n1 x (n2 - 1) interior
-points, and their analysis computes only the rows q < 2 n2 / 3 and the
-columns f1 < n1 / 3 that the 2/3 rule keeps.  One right-hand side is one
-synthesis of the stream function, b and tau with their derivatives, and one
-analysis of the two advection products.  In the linear (Taylor-vortex)
+Coefficients are held field-major, as (field, q, batch, f1) arrays, so each
+field is one contiguous block; the batch axis is a stack of trajectories
+stepped together.  Every transform is a real GEMM on the complex array viewed
+as float pairs: along s2 a sine or cosine matrix on axis 1, one GEMM per field
+over the whole stack (a broadcast ``np.matmul``), along s1 a real DFT matrix
+on the last axis.  The s1 matrices are built once per grid from ``np.fft``
+(Boyd, *Chebyshev and Fourier Spectral Methods*, 2nd ed., sections 9-11:
+matrix-multiply transforms at small n), which is never called while stepping
+or sampling.  The advection products are odd in s2, so they are formed only on
+the n1 x (n2 - 1) interior points, and their analysis computes only the rows
+q < 2 n2 / 3 and the columns f1 < n1 / 3 that the 2/3 rule keeps.  One
+right-hand side is one synthesis of the stream function, b and tau with their
+derivatives, and one analysis of the two advection products, each written
+into buffers made once per simulate call.  In the linear (Taylor-vortex)
 regime the buoyancy is analytic and shared by every trajectory: its velocity
 and forcing are formed once and scaled by exp(-rate t) at each stage.
 
@@ -128,10 +130,14 @@ def cell_mesh(grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     return np.meshgrid(np.arange(n1) / n1, np.arange(n2) / n2, indexing="ij")
 
 
+def _pairs(C: np.ndarray) -> np.ndarray:
+    """Complex (F, q, ...) coefficients as (F, q, rest) float pairs; a view of a contiguous ``C``."""
+    return C.view(np.float64).reshape(C.shape[0], C.shape[1], -1)
+
+
 def _s2(M: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Apply the real (rows, q) matrix ``M`` to axis 0 of complex ``C`` as one GEMM on its float pairs."""
-    pairs = np.ascontiguousarray(C).view(np.float64).reshape(len(C), -1)
-    return (M @ pairs).view(np.complex128).reshape((len(M),) + C.shape[1:])
+    """Apply the real (rows, q) matrix ``M`` to axis 1 of complex (F, q, ...) ``C``, one GEMM per field."""
+    return np.matmul(M, _pairs(C)).view(np.complex128).reshape(C.shape[:1] + (len(M),) + C.shape[2:])
 
 
 def _s1(a: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -142,9 +148,12 @@ def _s1(a: np.ndarray, M: np.ndarray) -> np.ndarray:
 class _SineFourier:
     """Sine-Fourier coefficients and diagonal operators for one (n1, n2) cell grid.
 
-    A coefficient array is (q, field, batch, f1): sine modes q = 1..n2-1 along
-    s2 and the ``rfft`` half spectrum f1 = 0..n1/2 along s1.  Grid arrays are
-    (j, field, batch, i1) on the interior points s2 = j / n2, j = 1..n2-1.
+    A coefficient array is field-major, (field, q, batch, f1): sine modes
+    q = 1..n2-1 along s2 and the ``rfft`` half spectrum f1 = 0..n1/2 along s1,
+    so each field's coefficients are one contiguous block.  Grid arrays are
+    (field, variant, j, batch, i1) on the interior points s2 = j / n2,
+    j = 1..n2-1, where the variants of ``grad_grid`` are (d_s2, d_s1).  The
+    diagonal operators are (q, 1, f1) and broadcast over field and batch.
     The s1 synthesis ``synth`` is 2 (n1/2 + 1) x n1 and acts on the float
     pairs (re, im) of a half spectrum; ``synth_grad1`` stacks it with the same
     synthesis with ``d1`` folded in.  The s1 analysis ``analysis1`` is
@@ -160,7 +169,7 @@ class _SineFourier:
         f1 = np.arange(n1 // 2 + 1)
         kq = np.pi * q
         k1 = TWO_PI * f1
-        self.lap = -(k1**2 + kq[:, None, None, None] ** 2)
+        self.lap = -(k1**2 + kq[:, None, None] ** 2)
         self.inv_lap = 1.0 / self.lap  # q >= 1: Lap is never zero on sine modes
         self.d1 = 1j * np.where(f1 == n1 / 2, 0.0, k1)
         self.forcing = self.d1 * self.inv_lap  # d_s1 Lap^-1
@@ -184,30 +193,65 @@ class _SineFourier:
         self.analysis1_dealiased = np.ascontiguousarray(self.analysis1[:, : 2 * self.keep_f1])
 
     def from_cell(self, fields: np.ndarray) -> np.ndarray:
-        """(F, N, n1, n2) cell-grid fields to coefficients, projected onto the sine modes."""
-        interior = np.moveaxis(fields[..., 1:], -1, 0)
+        """(F, N, n1, n2) cell-grid fields to coefficients (F, q, N, f1), projected onto the sine modes."""
+        interior = fields[..., 1:].transpose(0, 3, 1, 2)
         return _s2(self.analysis, _s1(interior, self.analysis1).view(np.complex128))
 
     def to_cell(self, U: np.ndarray) -> np.ndarray:
-        """Coefficients (q, F, N, f1) to (N, F * n1 * n2) cell-grid states; the s2 = 0 column is 0."""
+        """Coefficients (F, q, N, f1) to (N, F * n1 * n2) cell-grid states; the s2 = 0 column is 0."""
         g = _s1(_s2(self.sine, U).view(np.float64), self.synth)
-        cell = np.zeros((g.shape[2], g.shape[1], self.n1, self.n2))
-        cell[..., 1:] = g.transpose(2, 1, 3, 0)
+        cell = np.zeros((g.shape[2], len(g), self.n1, self.n2))
+        cell[..., 1:] = g.transpose(2, 0, 3, 1)
         return cell.reshape(len(cell), -1)
 
+
+class _Workspace:
+    """The grid transforms of one right-hand side, in float buffers made once per simulate call.
+
+    ``grad_grid`` synthesises ``fields`` coefficient fields of a batch, and
+    ``advection`` analyses v . grad f for the last ``advected`` of them.  Each
+    returns a buffer that the next call overwrites.
+    """
+
+    def __init__(self, sp: _SineFourier, fields: int, advected: int, batch: int):
+        j, n1, pairs1, keep2 = sp.n2 - 1, sp.n1, sp.synth.shape[0], 2 * sp.keep_f1
+        rows = j * batch
+        self.sp = sp
+        self.grid = np.empty((fields, 2, j, batch, n1))
+        self._d2, self._d1 = self.grid[fields - advected :, 0], self.grid[fields - advected :, 1]
+        # Each buffer as its GEMMs see it: one matrix per field, or per field and variant.
+        s2 = np.empty(fields * 2 * rows * pairs1)
+        self._s2 = s2.reshape(fields, 2 * j, batch * pairs1)
+        self._s2_variants = s2.reshape(fields, 2, rows, pairs1)
+        self._grid_variants = self.grid.reshape(fields, 2, rows, n1)
+        self._d1_rows = self._d1.reshape(advected, rows, n1)
+        # The s2 synthesis is spent once the grid is formed, so both analyses write into its front.
+        s1, analysis = np.split(s2[: advected * (j + sp.keep_q) * batch * keep2], [advected * rows * keep2])
+        self._s1_rows = s1.reshape(advected, rows, keep2)
+        self._s1 = s1.reshape(advected, j, batch * keep2)
+        self._analysis = analysis.reshape(advected, sp.keep_q, batch * keep2)
+        self._advection = analysis.reshape(advected, sp.keep_q, batch, keep2)
+
     def grad_grid(self, U: np.ndarray) -> np.ndarray:
-        """(d_s2, d_s1) of sine fields (q, F, N, f1) on the interior grid, (2, j, F, N, n1)."""
+        """(d_s2, d_s1) of sine fields (F, q, N, f1) on the interior grid, (F, 2, j, N, n1)."""
+        np.matmul(self.sp.synth_grad, _pairs(U), out=self._s2)
         # d_s1 acts on f1 alone, so it commutes with the s2 synthesis and is folded into the s1 one.
-        pairs = _s2(self.synth_grad, U).view(np.float64).reshape(2, -1, self.synth.shape[0])
-        return np.matmul(pairs, self.synth_grad1).reshape((2, self.n2 - 1) + U.shape[1:-1] + (self.n1,))
+        np.matmul(self._s2_variants, self.sp.synth_grad1, out=self._grid_variants)
+        return self.grid
 
-    def advection(self, psi2: np.ndarray, psi1: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """Dealiased coefficients (keep_q, F, N, keep_f1) of v . grad from ``grad_grid`` output.
+    def advection(self, psi: np.ndarray) -> np.ndarray:
+        """Dealiased float pairs (A, keep_q, N, 2 keep_f1) of v . grad f for the A advected fields f.
 
-        ``psi2`` and ``psi1`` are d_s2 and d_s1 of the stream function psi, and v = (d_s2 psi, -d_s1 psi).
+        f's gradients are those of the last ``grad_grid``, which the products
+        overwrite.  ``psi`` is the (2, j, N, n1) ``grad_grid`` of the stream
+        function psi, and v = (d_s2 psi, -d_s1 psi).
         """
-        products = _s1(psi2 * G[1] - psi1 * G[0], self.analysis1_dealiased)
-        return _s2(self.analysis_dealiased, products.view(np.complex128))
+        np.multiply(psi[0], self._d1, out=self._d1)
+        np.multiply(psi[1], self._d2, out=self._d2)
+        np.subtract(self._d1, self._d2, out=self._d1)  # d_s2 psi d_s1 f - d_s1 psi d_s2 f
+        np.matmul(self._d1_rows, self.sp.analysis1_dealiased, out=self._s1_rows)
+        np.matmul(self.sp.analysis_dealiased, self._s1, out=self._analysis)
+        return self._advection
 
 
 def _lorenz_fields(ic: InitCondition, S1: np.ndarray, S2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,13 +308,16 @@ def _integrate(cfg: RBConfig, U: np.ndarray, decay: np.ndarray, rhs, sample, n_s
     broadcast to those pairs once: a real factor scales each float part (the
     complex product numpy would form differs at most in the sign of a zero), and
     a contiguous float op skips the broadcast over the batch axis.  ``rhs`` must
-    not keep its argument, a buffer that the next stage overwrites.
+    not keep its argument, a buffer that the next stage overwrites.  ``rhs`` may
+    return the same buffer at every call: each stage's value is read, and
+    scaled in place, before the next call.
     """
     if n_samples < 1:
         raise InvalidInput(f"n_samples must be >= 1, got {n_samples}")
     first = sample(U, 0.0)
     out = np.empty((n_samples,) + first.shape)
     out[0] = first
+    del first  # copied: not held while stepping
     _check_finite(out[0], 0)
     h, t = cfg.dt, 0.0
     u = U.view(np.float64)
@@ -324,22 +371,29 @@ def simulate_fields(
     sp = _SineFourier(cfg.grid)
     U0 = sp.from_cell(np.stack([b0, tau0]))
     # (sigma nu d_s1; d_s1 Lap^-1) multiply the (tau; b) of each mode: the coupling of b and tau.
-    couple = np.concatenate([np.broadcast_to(cfg.sigma * cfg.nu * sp.d1, sp.forcing.shape), sp.forcing], axis=1)
+    couple = np.stack([np.broadcast_to(cfg.sigma * cfg.nu * sp.d1, sp.forcing.shape), sp.forcing])
     couple = np.broadcast_to(couple, U0.shape).copy()  # over the batch axis once, not at every stage
-    # Stream function Lap^-1 b, b and tau, the fields synthesised with their gradients.
-    fields = np.empty((len(U0), 3) + U0.shape[2:], dtype=complex)
+    # Lap^-1 is real: it scales each float part of b, broadcast over the batch once.
+    inv_lap = np.broadcast_to(np.repeat(sp.inv_lap, 2, axis=-1), U0.view(np.float64)[0].shape).copy()
+    # Stream function Lap^-1 b, b and tau: the fields synthesised with their gradients.
+    fields = np.empty((3,) + U0.shape[1:], dtype=complex)
+    psi_pairs = fields.view(np.float64)[0]
+    work = _Workspace(sp, 3, 2, U0.shape[2])
+    psi = work.grid[0]
+    out = np.empty_like(U0)
+    dealiased = out.view(np.float64)[:, : sp.keep_q, :, : 2 * sp.keep_f1]
 
     def rhs(U, t):
-        np.multiply(sp.inv_lap, U[:, :1], out=fields[:, :1])
-        fields[:, 1:] = U
-        G = sp.grad_grid(fields)
-        out = couple * U[:, ::-1]
-        out[: sp.keep_q, ..., : sp.keep_f1] -= sp.advection(G[0, :, :1], G[1, :, :1], G[:, :, 1:])
+        np.multiply(inv_lap, U.view(np.float64)[0], out=psi_pairs)
+        fields[1:] = U
+        work.grad_grid(fields)
+        np.multiply(couple, U[::-1], out=out)  # (tau; b): the field axis reversed
+        np.subtract(dealiased, work.advection(psi), out=dealiased)
         return out
 
-    decay = np.concatenate([cfg.sigma * sp.lap, sp.lap], axis=1)
-    out = _integrate(cfg, U0, decay, rhs, lambda U, t: sp.to_cell(U), n_samples)
-    return out[:, 0] if single else out
+    decay = np.stack([cfg.sigma * sp.lap, sp.lap])
+    states = _integrate(cfg, U0, decay, rhs, lambda U, t: sp.to_cell(U), n_samples)
+    return states[:, 0] if single else states
 
 
 def simulate_rb(cfg: RBConfig, ic: InitCondition, n_samples: int) -> np.ndarray:
@@ -379,20 +433,26 @@ def simulate_linear_fields(
     rate = taylor_decay_rate(cfg.sigma, ic.a_b)
     b0 = analytic_buoyancy(cfg, ic, 0.0)
     B0 = sp.from_cell(b0[None, None])
-    psi2, psi1 = sp.grad_grid(sp.inv_lap * B0)
+    psi = _Workspace(sp, 1, 0, 1).grad_grid(sp.inv_lap * B0)[0]
+    T0 = sp.from_cell(tau0[None])
     force = sp.forcing * B0
+    work = _Workspace(sp, 1, 1, T0.shape[2])
+    out = np.empty_like(T0)
+    dealiased = out.view(np.float64)[:, : sp.keep_q, :, : 2 * sp.keep_f1]
 
     def rhs(T, t):
-        out = np.broadcast_to(force, T.shape).copy()
-        out[: sp.keep_q, ..., : sp.keep_f1] -= sp.advection(psi2, psi1, sp.grad_grid(T))
-        return np.exp(-rate * t) * out
+        np.copyto(out, force)
+        work.grad_grid(T)
+        np.subtract(dealiased, work.advection(psi), out=dealiased)
+        np.multiply(out, np.exp(-rate * t), out=out)
+        return out
 
     def sample(T, t):
         tau = sp.to_cell(T)
         return np.concatenate([np.broadcast_to(np.exp(-rate * t) * b0.ravel(), tau.shape), tau], axis=1)
 
-    out = _integrate(cfg, sp.from_cell(tau0[None]), sp.lap, rhs, sample, n_samples)
-    return out[:, 0] if single else out
+    states = _integrate(cfg, T0, sp.lap, rhs, sample, n_samples)
+    return states[:, 0] if single else states
 
 
 def simulate_rb_linear(cfg: RBConfig, ic: InitCondition, n_samples: int) -> np.ndarray:

@@ -1162,6 +1162,31 @@ class TestCliInputsExit2:
         assert main(argv + ["--steps", str(steps), "--out", str(tmp_path / "t.csv"), "--quiet"]) == 2
         assert f"a {steps} x 50 trajectory cannot be allocated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("psnr", ["1e308", "-1e6"])
+    def test_psnr_outside_the_float_range_exit2(self, tmp_path, capsys, psnr):
+        # 10^(psnr/20) overflows at 1e308 and underflows to 0 at -1e6
+        out = tmp_path / "ds"
+        assert main(["generate", "toy-ii", f"--psnr={psnr}", "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "puts the noise scale for peak" in err and "outside the float range" in err
+        assert not (out / "manifest.json").exists()
+
+    def test_deeply_nested_document_exit2(self, toy_fit, tmp_path, capsys):
+        ds, fit = tmp_path / "ds", tmp_path / "fit"
+        shutil.copytree(toy_fit[0], ds)
+        (ds / "manifest.json").write_text("[" * 100_000 + "]" * 100_000)
+        fit.mkdir()
+        model = fit / "model-factored.json"
+        model.write_text("[" * 100_000 + "]" * 100_000)
+        for argv, path in (
+            (["fit", str(ds), "--k", "3", "--out", str(tmp_path / "refit")], ds / "manifest.json"),
+            (["simulate", str(model), "--dataset", str(toy_fit[0]), "--column", "0", "--steps", "3",
+              "--out", str(tmp_path / "t.csv")], model),
+        ):
+            assert main(argv + ["--quiet"]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {path} nests its JSON too deeply to parse\n", err
+
 
 _DELETED = object()
 

@@ -332,29 +332,52 @@ class TestLawsonStages:
         got = rb._integrate(cfg, U0.copy(), decay, rhs, lambda U, t: U.view(np.float64).copy(), 4)
         assert got.tobytes() == want.view(np.float64).tobytes()
 
+    def test_rhs_may_return_its_own_buffer(self):
+        # the simulators' right-hand sides return one buffer, overwritten at every call
+        rng = np.random.default_rng(12)
+        shape = (2, 7, 5, 5)
+        U0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        decay = -rng.uniform(0.0, 400.0, (2, 7, 1, 5))
+        couple = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out = np.empty_like(U0)
+
+        def fresh(U, t):
+            return couple * U[::-1] - np.cos(t) * U * U
+
+        def reused(U, t):
+            out[...] = fresh(U, t)
+            return out
+
+        cfg = RBConfig(dt=1e-3, sample_stride=7)
+        want = rb._integrate(cfg, U0.copy(), decay, fresh, lambda U, t: U.view(np.float64).copy(), 4)
+        got = rb._integrate(cfg, U0.copy(), decay, reused, lambda U, t: U.view(np.float64).copy(), 4)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestBatch:
     """A stack of N fields is stepped as N independent single-field runs."""
 
-    def test_simulate_fields_batch_equals_single_runs(self):
+    @pytest.mark.parametrize("count", [1, 5])  # 5: the rb-vi batch
+    def test_simulate_fields_batch_equals_single_runs(self, count):
         cfg = RBConfig(nu=6000.0, sample_stride=20)
-        b0, tau0 = _stack(3)
+        b0, tau0 = _stack(count)
         batch = simulate_fields(cfg, b0, tau0, 5)
-        assert batch.shape == (5, 3, cfg.n)
+        assert batch.shape == (5, count, cfg.n)
         scale = np.max(np.abs(batch))
-        for j in range(3):
+        for j in range(count):
             single = simulate_fields(cfg, b0[j], tau0[j], 5)
             assert single.shape == (5, cfg.n)
             assert np.max(np.abs(batch[:, j] - single)) <= 1e-13 * scale
 
-    def test_simulate_linear_fields_batch_equals_single_runs(self):
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_simulate_linear_fields_batch_equals_single_runs(self, count):
         cfg = RBConfig(sample_stride=20)
         ic = _degenerate_ic(sigma=cfg.sigma)
-        _, tau0 = _stack(3)
+        _, tau0 = _stack(count)
         batch = simulate_linear_fields(cfg, ic, tau0, 5)
-        assert batch.shape == (5, 3, cfg.n)
+        assert batch.shape == (5, count, cfg.n)
         scale = np.max(np.abs(batch))
-        for j in range(3):
+        for j in range(count):
             single = simulate_linear_fields(cfg, ic, tau0[j], 5)
             assert single.shape == (5, cfg.n)
             assert np.max(np.abs(batch[:, j] - single)) <= 1e-13 * scale
@@ -370,17 +393,19 @@ class TestBatch:
 class TestSineFourier:
     """The sine-Fourier stepping against the odd-extended oracle, and the wall-column contract."""
 
-    def test_simulate_fields_matches_odd_extended_oracle(self):
+    @pytest.mark.parametrize("count", [1, 5])  # 5: the rb-vi batch
+    def test_simulate_fields_matches_odd_extended_oracle(self, count):
         cfg = RBConfig(nu=6000.0, sample_stride=20)
-        b0, tau0 = _stack(3)
+        b0, tau0 = _stack(count)
         got = simulate_fields(cfg, b0, tau0, 5)
         want = _oracle_fields(cfg, b0, tau0, 5)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_simulate_linear_fields_matches_odd_extended_oracle(self):
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_simulate_linear_fields_matches_odd_extended_oracle(self, count):
         cfg = RBConfig(sample_stride=20)
         ic = _degenerate_ic(sigma=cfg.sigma)
-        _, tau0 = _stack(3)
+        _, tau0 = _stack(count)
         got = simulate_linear_fields(cfg, ic, tau0, 5)
         want = _oracle_linear(cfg, ic, tau0, 5)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -409,24 +434,26 @@ class TestS1Matrices:
         assert np.all(C[..., 0].imag != 0) and np.all(C[..., -1].imag != 0)
         return C
 
-    # (2, j, F, N, f1) of grad_grid in the nonlinear (rb-vi) and linear (rb-iv) regimes
+    # (F, 2, j, N, f1) of grad_grid in the nonlinear (rb-vi) and linear (rb-iv) regimes
     @pytest.mark.parametrize("grid", [(16, 32), (15, 8)])
-    @pytest.mark.parametrize("batch", [(2, 31, 3, 5), (2, 31, 1, 50)])
+    @pytest.mark.parametrize("batch", [(3, 2, 31, 5), (1, 2, 31, 50)])
     def test_synthesis_matches_irfft(self, grid, batch):
         sp = rb._SineFourier(grid)
         n1 = grid[0]
-        C = self._half_spectra(batch[:1] + (grid[1] - 1,) + batch[2:] + (n1 // 2 + 1,), seed=n1)
+        C = self._half_spectra(batch[:2] + (grid[1] - 1,) + batch[3:] + (n1 // 2 + 1,), seed=n1)
         pairs = C.view(np.float64)
+        F, f1_pairs = len(C), pairs.shape[-1]
         for got, want in (
             (rb._s1(pairs, sp.synth), np.fft.irfft(C, n=n1)),
             (rb._s1(pairs, sp.synth_grad1[1]), np.fft.irfft(sp.d1 * C, n=n1)),
-            (np.matmul(pairs.reshape(2, -1, pairs.shape[-1]), sp.synth_grad1).reshape(C.shape[:-1] + (n1,)),
-             np.fft.irfft(np.stack([C[0], sp.d1 * C[1]]), n=n1)),
+            (np.matmul(pairs.reshape(F, 2, -1, f1_pairs), sp.synth_grad1).reshape(C.shape[:-1] + (n1,)),
+             np.fft.irfft(np.stack([C[:, 0], sp.d1 * C[:, 1]], axis=1), n=n1)),
         ):
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
+    # (F, j, N) grid arrays in the same two regimes
     @pytest.mark.parametrize("grid", [(16, 32), (15, 8)])
-    @pytest.mark.parametrize("batch", [(31, 3, 5), (31, 1, 50)])
+    @pytest.mark.parametrize("batch", [(3, 31, 5), (1, 31, 50)])
     def test_analysis_matches_rfft(self, grid, batch):
         sp = rb._SineFourier(grid)
         g = np.random.default_rng(grid[0]).standard_normal(batch + (grid[0],))
