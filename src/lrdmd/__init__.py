@@ -42,7 +42,6 @@ from .reduced import (
     ReducedModel,
     SpectralModel,
     Trajectory,
-    apply_operator,
     build_spectral_model,
     build_svd_reduced_model,
     simulate_operator,

@@ -120,7 +120,11 @@ def _parse_k_range(text: str, m: int) -> list[int]:
         raise InvalidInput(f"bad k range {text!r}: step {step} is below 1")
     if lo > hi:
         raise InvalidInput(f"bad k range {text!r}: lo {lo} exceeds hi {hi}")
-    return list(range(lo, hi + 1, step))
+    ks = range(lo, hi + 1, step)
+    # Bounds first, at O(1) on the range: a huge hi must not be listed.
+    if ks[0] < 1 or ks[-1] > m:
+        raise InvalidInput(f"k range must lie within [1, {m}]")
+    return list(ks)
 
 
 def cmd_sweep(args) -> int:

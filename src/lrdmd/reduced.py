@@ -316,11 +316,6 @@ def simulate_spectral(model: SpectralModel, theta: np.ndarray, T: int) -> Trajec
     return Trajectory(states=out, max_imag_residue=residue)
 
 
-def apply_operator(op: FactoredOperator, x: np.ndarray) -> np.ndarray:
-    """One application ``A x = P (Q^T x)`` at O(rn)."""
-    return op.apply(x)
-
-
 def simulate_operator(op: FactoredOperator, theta: np.ndarray, T: int) -> Trajectory:
     """Repeated application of the factored operator (x_1 = theta)."""
     return _simulate_factors(op.Q, audit.mm(op.Q.T, op.P), op.P, theta, T)

@@ -81,6 +81,8 @@ class SnapshotPair:
     traj_len: int | None = None
 
     def __post_init__(self):
+        if np.iscomplexobj(self.X) or np.iscomplexobj(self.Y):
+            raise InvalidInput("snapshot matrices must be real, got complex entries")
         X = np.asarray(self.X, dtype=float)
         Y = np.asarray(self.Y, dtype=float)
         if X.ndim != 2 or X.shape != Y.shape:

@@ -1,5 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
+Criteria 8 and 9 are also checked over a range of seeds, beside their
+fixed-seed tests.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every tolerance is pinned here exactly as stated.
 """
@@ -236,6 +239,28 @@ def test_criterion_08_rb_linear_settings(rb_datasets):
     )
 
 
+def test_criterion_08_over_seeds():
+    """Criterion 8's bounds at gen_physical seeds 0-9 for settings iv and v, not at seed 5 alone."""
+    worst_err, least_ratio = {}, {}
+    for setting, bound in (("iv", 1e-6), ("v", 1e-3)):
+        for seed in range(10):
+            data = lrdmd.gen_physical(setting, seed=seed)
+            ny = np.linalg.norm(data.Y)
+            worst = max(lrdmd.optimal_lowrank(data, k).residual_fro(data) / ny for k in range(10, 51, 5))
+            e_o10 = lrdmd.optimal_lowrank(data, 10).residual_fro(data) / ny
+            e_t10 = lrdmd.truncated_baseline(data, 10).residual_fro(data) / ny
+            ratio = e_t10 / max(e_o10, 1e-300)
+            worst_err[setting] = max(worst_err.get(setting, 0.0), worst / bound)
+            least_ratio[setting] = min(least_ratio.get(setting, np.inf), ratio)
+    ok = all(v <= 1.0 for v in worst_err.values()) and all(v >= 10.0 for v in least_ratio.values())
+    _report(
+        "criterion 8 over seeds 0-9",
+        ok,
+        f"worst optimal err / bound: iv {worst_err['iv']:.2e}, v {worst_err['v']:.2e}; "
+        f"least truncated/optimal at k=10: iv {least_ratio['iv']:.0f}x, v {least_ratio['v']:.0f}x",
+    )
+
+
 def test_criterion_09_noise_study(spectral_datasets):
     """Rank-3 data: exact recovery noiseless; under 20 dB noise the optimal fit
     stays ahead of truncation in error and in eigenvector recovery."""
@@ -268,6 +293,32 @@ def test_criterion_09_noise_study(spectral_datasets):
         f"noiseless err {e_clean:.2e} (<=1e-8); 20dB err optimal {e_o:.3f} < truncated {e_t:.3f}; "
         f"zeta3 angle optimal {ang_o:.3f} < truncated {ang_t:.3f} rad",
     )
+
+
+def test_criterion_09_over_seeds():
+    """At spectral-viii seeds 0-4 (k = 3), optimal beats truncation in error and in the worst-recovered eigenvalue.
+
+    Each true eigenvalue is matched to its nearest fitted one.  Criterion 9's zeta_3-angle claim is not
+    extended: it fails at seeds 9 and 28.
+    """
+    import warnings
+
+    def worst_eig_error(op, truth):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # noisy baselines may be near-defective
+            fitted = lrdmd.build_spectral_model(op).eigvals
+        return max(float(np.min(np.abs(fitted - lam))) for lam in truth.eigvals)
+
+    lines, ok = [], True
+    for seed in range(5):
+        data, _, truth = lrdmd.generate("spectral-viii", seed)
+        ny = np.linalg.norm(data.Y)
+        op_o, op_t = lrdmd.optimal_lowrank(data, 3), lrdmd.truncated_baseline(data, 3)
+        e_o, e_t = op_o.residual_fro(data) / ny, op_t.residual_fro(data) / ny
+        d_o, d_t = worst_eig_error(op_o, truth), worst_eig_error(op_t, truth)
+        ok = ok and e_o < e_t and d_o < d_t
+        lines.append(f"seed {seed}: err {e_o:.3f} < {e_t:.3f}, worst |dlambda| {d_o:.3f} < {d_t:.3f}")
+    _report("criterion 9 over seeds 0-4", ok, "; ".join(lines))
 
 
 def test_criterion_10_taylor_vortex():

@@ -558,6 +558,29 @@ class TestCliConvectionDataset:
         assert main(["verify", str(out), "--k", "10"]) == 0
         assert "all checks passed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["rb-iv", "rb-vi"])
+    def test_sweep_same_under_threaded_blas(self, tmp_path, name):
+        # One and two OpenBLAS threads: the same rows and flags, and the optimal cells within 1e-12.
+        # The baselines' cells are not bounded: on rb-iv a 2e-16 perturbation moves them by up to 8e-7.
+        data, manifest, _ = lrdmd.generate(name, 1)
+        lio.write_dataset(tmp_path / "ds", data, manifest)
+        rows = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"sweep-{threads}"
+            env = {**os.environ, "PYTHONPATH": str(Path(lrdmd.__file__).parents[1]), "OPENBLAS_NUM_THREADS": threads}
+            argv = [sys.executable, "-m", "lrdmd.cli", "sweep", str(tmp_path / "ds"), "--k-range", "all",
+                    "--out", str(out), "--quiet"]
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            with open(out / "sweep.csv", newline="") as f:
+                rows[threads] = list(csv.DictReader(f))
+        one, two = rows["1"], rows["2"]
+        assert [(r["k"], r["method"], r["flags"]) for r in one] == [(r["k"], r["method"], r["flags"]) for r in two]
+        for a, b in zip(one, two):
+            if a["method"] == "optimal":
+                for col in ("normalized_error", "closed_form_error"):
+                    assert abs(float(a[col]) - float(b[col])) <= 1e-12, (a, b)
+
 
 class TestCliSpectralDatasets:
     # one end-to-end pass over the spectral generators (heavier: builds rb-vi)
@@ -1078,6 +1101,20 @@ class TestKRange:
         assert main(["sweep", str(toy_fit[0]), "--k-range", text, "--out", str(out), "--quiet"]) == 2
         assert f"error: bad k range {text!r}: {reason}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("hi", [2**62, 2**64])
+    def test_huge_hi_exit2_without_listing(self, toy_fit, tmp_path, capsys, hi):
+        # The bound is checked on the range itself: listing 2**62 ints raised MemoryError, 2**64 OverflowError.
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(toy_fit[0]), "--k-range", f"1:{hi}", "--out", str(out), "--quiet"]) == 2
+        assert "error: k range must lie within [1, 40]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_step_past_m_keeps_lo(self, toy_fit, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(toy_fit[0]), "--k-range", "1:45:50", "--out", str(out), "--quiet"]) == 0
+        with open(out / "sweep.csv", newline="") as f:
+            assert {int(r["k"]) for r in csv.DictReader(f)} == {1}
 
 
 class TestCliPaths:

@@ -28,6 +28,17 @@ def test_rejects_a_non_matrix(solve, M):
         solve(M)
 
 
+@pytest.mark.parametrize(
+    "solve, M",
+    [(thin_svd, np.ones((3, 2)) + 1j), (eig_nonsymmetric, [[0, 1j], [1j, 0]])],
+    ids=["svd", "eig"],
+)
+def test_rejects_complex_input(solve, M):
+    # Casting to float would keep only the real part: eig of [[0, i], [i, 0]] would return 0, 0, not ±i.
+    with pytest.raises(InvalidInput, match="must be real, got complex entries"):
+        solve(M)
+
+
 class TestThinSVD:
     def test_identity(self):
         svd = thin_svd(np.eye(3))

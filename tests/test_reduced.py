@@ -16,7 +16,6 @@ from lrdmd import (
     SimulationBlowup,
     SnapshotPair,
     SpectralModel,
-    apply_operator,
     build_spectral_model,
     build_svd_reduced_model,
     optimal_lowrank,
@@ -657,18 +656,18 @@ def test_audit_counts_real_multiply_adds():
 class TestApplyOperator:
     def test_zero_and_identity(self):
         op, _, _ = _random_optimal(18)
-        np.testing.assert_allclose(apply_operator(op, np.zeros(25)), np.zeros(25), atol=0)
+        np.testing.assert_allclose(op.apply(np.zeros(25)), np.zeros(25), atol=0)
         I2 = np.eye(3)[:, :2]
         ident_op = FactoredOperator(P=I2, Q=I2)
         x = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(apply_operator(ident_op, x), [1.0, 2.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(ident_op.apply(x), [1.0, 2.0, 0.0], atol=1e-15)
 
     def test_matches_dense(self):
         op, _, rng = _random_optimal(19, n=60, m=15, k=6)
         A = dense(op)
         for _ in range(5):
             x = rng.standard_normal(60)
-            np.testing.assert_allclose(apply_operator(op, x), A @ x, atol=1e-10 * max(1.0, np.linalg.norm(A @ x)))
+            np.testing.assert_allclose(op.apply(x), A @ x, atol=1e-10 * max(1.0, np.linalg.norm(A @ x)))
 
 
 class TestRepresentationEquivalence:

@@ -54,6 +54,9 @@ _RANK1 = FactoredOperator(P=np.eye(3)[:, :1], Q=np.eye(3)[:, :1])
     [
         (lambda: SnapshotPair(X=np.array([[1.0, np.nan]]), Y=np.ones((1, 2))), "non-finite entries"),
         (lambda: SnapshotPair(X=np.ones((1, 2)), Y=np.array([[np.inf, 1.0]])), "non-finite entries"),
+        # cast to float, complex snapshots would be fitted by their real parts alone
+        (lambda: SnapshotPair(X=np.ones((1, 2)) + 1j, Y=np.ones((1, 2))), "must be real, got complex entries"),
+        (lambda: SnapshotPair(X=np.ones((1, 2)), Y=np.ones((1, 2)) + 1j), "must be real, got complex entries"),
         (lambda: SnapshotPair.from_trajectories([]), "need at least one trajectory"),
         (lambda: SnapshotPair.from_trajectories([np.ones((3, 2)), np.ones((4, 2))]), "share a common shape"),
         (lambda: SnapshotPair.from_trajectories([np.ones((1, 2))]), "at least two snapshots"),
@@ -63,8 +66,8 @@ _RANK1 = FactoredOperator(P=np.eye(3)[:, :1], Q=np.eye(3)[:, :1])
         (lambda: first_order_residual(_RANK1, SnapshotPair(X=np.zeros((3, 2)), Y=np.ones((3, 2)))), 0.0),
         (lambda: first_order_residual(_RANK1, SnapshotPair(X=np.eye(3), Y=np.zeros((3, 3)))), np.inf),
     ],
-    ids=["x-nan", "y-inf", "no-trajectories", "unequal-trajectories", "one-snapshot", "p-q-shapes", "apply-length",
-         "zero-lhs-zero-rhs", "zero-lhs"],
+    ids=["x-nan", "y-inf", "x-complex", "y-complex", "no-trajectories", "unequal-trajectories", "one-snapshot",
+         "p-q-shapes", "apply-length", "zero-lhs-zero-rhs", "zero-lhs"],
 )
 def test_input_checks(call, outcome):
     if isinstance(outcome, str):
