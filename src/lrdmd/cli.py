@@ -211,6 +211,8 @@ def cmd_verify(args) -> int:
             spectral, kind, _ = lio.load_model(args.spectral_model)
             if kind != "spectral":
                 raise InvalidInput(f"--spectral-model file has kind {kind!r}")
+            if spectral.n != data.n:
+                raise InvalidInput(f"{args.spectral_model} has n={spectral.n} but the dataset has n={data.n}")
         else:
             spectral = build_spectral_model(op)
         worst_res, worst_rayleigh = _eigen_residuals(op, spectral)

@@ -125,8 +125,8 @@ class Trajectory:
 
 
 def build_svd_reduced_model(op: FactoredOperator) -> ReducedModel:
-    """The recursion of ``A = P Q^T`` (encoder Q, propagator ``Q^T P``, decoder P), sharing the operator's P and Q."""
-    return ReducedModel(L=op.Q, R=op.P, S=audit.mm(op.Q.T, op.P))
+    """The recursion of ``A = P Q^T`` (encoder Q, propagator ``Q^T P``, decoder P): the operator's own three arrays."""
+    return ReducedModel(L=op.Q, R=op.P, S=op.propagator)
 
 
 def _kept_left_rows(K: np.ndarray, lam: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -150,21 +150,21 @@ def _kept_left_rows(K: np.ndarray, lam: np.ndarray, W: np.ndarray) -> np.ndarray
 def build_spectral_model(op: FactoredOperator) -> SpectralModel:
     """Eigentriples of ``A = P Q^T`` from one k-by-k eigensolve.
 
-    Solves ``K W = W Lambda`` for ``K = Q^T P`` and keeps the eigenvalues above
-    ``ZERO_EIG_TOL`` times the dominant modulus.  Sets ``zeta = P W`` and
-    ``xi = Q W^{-T} Lambda^{-1}`` on the kept pairs, so ``xi^T zeta = I`` by
-    construction, also inside a repeated eigenspace.  The left rows always
-    come from the kept invariant subspace alone (``_kept_left_rows``), so a
-    defective zero block among the dropped eigenvalues is never inverted.  A
-    near-defective kept eigenbasis triggers a ``DiagonalisabilityWarning`` and
-    a flag but still returns the model; a numerically singular one raises
-    ``PairingFailure``.
+    Solves ``K W = W Lambda`` for the operator's ``propagator`` ``K = Q^T P``
+    and keeps the eigenvalues above ``ZERO_EIG_TOL`` times the dominant
+    modulus.  Sets ``zeta = P W`` and ``xi = Q W^{-T} Lambda^{-1}`` on the
+    kept pairs, so ``xi^T zeta = I`` by construction, also inside a repeated
+    eigenspace.  The left rows always come from the kept invariant subspace
+    alone (``_kept_left_rows``), so a defective zero block among the dropped
+    eigenvalues is never inverted.  A near-defective kept eigenbasis triggers
+    a ``DiagonalisabilityWarning`` and a flag but still returns the model; a
+    numerically singular one raises ``PairingFailure``.
     """
     z = np.zeros((op.n, 0), dtype=complex)
     empty = SpectralModel(eigvals=np.zeros(0, dtype=complex), right_vecs=z, left_vecs=z.copy())
     if op.r == 0:
         return empty
-    K = audit.mm(op.Q.T, op.P)
+    K = op.propagator
     eig = eig_nonsymmetric(K)
     lam, W = eig.values, eig.vectors
     scale = float(np.max(np.abs(lam)))
@@ -317,5 +317,5 @@ def simulate_spectral(model: SpectralModel, theta: np.ndarray, T: int) -> Trajec
 
 
 def simulate_operator(op: FactoredOperator, theta: np.ndarray, T: int) -> Trajectory:
-    """Repeated application of the factored operator (x_1 = theta)."""
-    return _simulate_factors(op.Q, audit.mm(op.Q.T, op.P), op.P, theta, T)
+    """Repeated application of the factored operator (x_1 = theta), propagated by its ``propagator``."""
+    return _simulate_factors(op.Q, op.propagator, op.P, theta, T)

@@ -22,7 +22,9 @@ All three methods start from the row space of X.  A ``SnapshotPair``
 caches three factorisations, of X, of C and of the m-by-m B, each on first
 use, and every fit of that pair (and so every single-k view and sweep) reads
 them: a pair takes two tall SVDs and one n-row product ``U_x^T Y`` however
-many fits read it, and a refit of any method costs O(m^2) past them.  Every
+many fits read it.  Past them, a refit of the optimal or projected method
+costs O(m^2), and one of the truncated method O(r^3), as it takes an
+r-by-r SVD on every call.  Every
 rank decision uses the one cutoff ``linalg.DEFAULT_RANK_TOL``; no function
 here takes a tolerance.
 
@@ -168,6 +170,12 @@ class FactoredOperator:
     all-zero X, "rank_deficient_x" when projected DMD ran outside its
     full-rank assumption, "nonunique_at_k" when the rank-k truncation splits
     tied singular values).
+
+    ``propagator`` is the r-by-r ``K = Q^T P``: the recursion of ``A`` is
+    propagated by K, since ``A^t = P K^{t-1} Q^T``, and K carries A's nonzero
+    eigenvalues.  It is formed on first use and read by every reduced model,
+    spectral build and simulation of the operator, so the caller must not
+    change P or Q after that.
     """
 
     P: np.ndarray
@@ -185,6 +193,13 @@ class FactoredOperator:
     @property
     def r(self) -> int:
         return self.P.shape[1]
+
+    @cached_property
+    def propagator(self) -> np.ndarray:
+        """``Q^T P``, read-only; the one place it is formed."""
+        K = audit.mm(self.Q.T, self.P)
+        K.flags.writeable = False
+        return K
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``A x`` at O(rn) cost."""

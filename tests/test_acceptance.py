@@ -212,6 +212,35 @@ def test_criterion_07_toy_reproduction():
     )
 
 
+def test_criterion_07_over_seeds():
+    """Criterion 7 at gen_toy seeds 0-9, not at seed 11 alone."""
+    worst_gap, least_ratio = 0.0, {"ii": np.inf, "iii": np.inf}
+    for seed in range(10):
+        data_i = lrdmd.gen_toy(lrdmd.ToyConfig(setting="i", seed=seed))
+        ny = np.linalg.norm(data_i.Y)
+        for k in range(1, 41):
+            e_o = lrdmd.optimal_lowrank(data_i, k).residual_fro(data_i) / ny
+            e_p = lrdmd.projected_dmd_baseline(data_i, k).residual_fro(data_i) / ny
+            if not rel_close(e_o, e_p, rtol=1e-8, floor=1e-12):
+                worst_gap = max(worst_gap, abs(e_o - e_p) / max(e_o, e_p))
+        for setting in least_ratio:
+            data = lrdmd.gen_toy(lrdmd.ToyConfig(setting=setting, seed=seed))
+            nyy = np.linalg.norm(data.Y)
+            best = 0.0
+            for k in range(11, 41):
+                e_o = lrdmd.optimal_lowrank(data, k).residual_fro(data) / nyy
+                e_p = lrdmd.projected_dmd_baseline(data, k).residual_fro(data) / nyy
+                best = max(best, e_p / max(e_o, 1e-300))
+            least_ratio[setting] = min(least_ratio[setting], best)
+    ok = worst_gap == 0.0 and all(v > 1.1 for v in least_ratio.values())
+    _report(
+        "criterion 7 over seeds 0-9",
+        ok,
+        f"setting-i worst gap {worst_gap:.1e}; least projected/optimal max ratio "
+        f"ii {least_ratio['ii']:.2e}, iii {least_ratio['iii']:.2e}",
+    )
+
+
 def test_criterion_08_rb_linear_settings(rb_datasets):
     """Settings iv/v: optimal error vanishes from k = 10; truncated 10x worse there."""
     gen_seconds = rb_datasets["gen_seconds"]

@@ -547,16 +547,57 @@ class TestCli:
         assert (out / "X.csv").exists()
 
 
+def _assert_factored_and_reduced_write_the_same_bytes(ds, fit, tmp_path):
+    """``simulate`` of a fit's factored and reduced models: the reduced file's L and R are Q and P, and the CSVs agree."""
+    blocks = {kind: json.loads((fit / f"model-{kind}.json").read_text())["blocks"] for kind in ("factored", "reduced")}
+    assert (blocks["reduced"]["L"], blocks["reduced"]["R"]) == (blocks["factored"]["Q"], blocks["factored"]["P"])
+    trajectories = []
+    for kind in ("factored", "reduced"):
+        out = tmp_path / f"traj-{kind}.csv"
+        argv = ["simulate", str(fit / f"model-{kind}.json"), "--dataset", str(ds), "--column", "0", "--steps", "11"]
+        assert main([*argv, "--out", str(out), "--quiet"]) == 0
+        trajectories.append(out.read_bytes())
+    assert trajectories[0] == trajectories[1]
+
+
+def test_toy_ii_factored_and_reduced_write_the_same_bytes(tmp_path):
+    ds, fit = tmp_path / "ds", tmp_path / "fit"
+    assert main(["generate", "toy-ii", "--seed", "1", "--out", str(ds), "--quiet"]) == 0
+    assert main(["fit", str(ds), "--k", "3", "--out", str(fit), "--quiet"]) == 0
+    _assert_factored_and_reduced_write_the_same_bytes(ds, fit, tmp_path)
+
+
+@pytest.fixture(scope="module")
+def rb_iv_fit(tmp_path_factory):
+    """An rb-iv dataset (seed 1) and its three k = 10 models, shared by tests that only read them."""
+    root = tmp_path_factory.mktemp("rb-iv-fit")
+    assert main(["generate", "rb-iv", "--seed", "1", "--out", str(root / "ds"), "--quiet"]) == 0
+    assert main(["fit", str(root / "ds"), "--k", "10", "--out", str(root / "fit"), "--quiet"]) == 0
+    return root / "ds", root / "fit"
+
+
 class TestCliConvectionDataset:
-    def test_generate_rb_iv_manifest_and_verify(self, tmp_path, capsys):
-        out = tmp_path / "rb"
-        assert main(["generate", "rb-iv", "--seed", "1", "--out", str(out), "--quiet"]) == 0
+    def test_generate_rb_iv_manifest_and_verify(self, rb_iv_fit, capsys):
+        out = rb_iv_fit[0]
         mf = json.loads((out / "manifest.json").read_text())
         assert (mf["n"], mf["m"], mf["N"], mf["T"]) == (1024, 50, 50, 2)
         assert mf["scheme"]["grid"] == [16, 32]
         assert "rng" in mf and "dt" in mf["scheme"]
         assert main(["verify", str(out), "--k", "10"]) == 0
         assert "all checks passed" in capsys.readouterr().out
+
+    def test_factored_and_reduced_write_the_same_bytes(self, rb_iv_fit, tmp_path):
+        _assert_factored_and_reduced_write_the_same_bytes(*rb_iv_fit, tmp_path)
+
+    def test_verify_spectral_model_of_another_n_exit2(self, rb_iv_fit, toy_fit):
+        # rb-iv's model has n = 1024, the toy dataset n = 50: a usage error naming the file, not a traceback.
+        model = rb_iv_fit[1] / "model-spectral.json"
+        env = {**os.environ, "PYTHONPATH": str(Path(lrdmd.__file__).parents[1])}
+        argv = [sys.executable, "-m", "lrdmd.cli", "verify", str(toy_fit[0]), "--k", "3", "--spectral-model", str(model)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert str(model) in proc.stderr and "n=1024" in proc.stderr
+        assert "Traceback" not in proc.stderr + proc.stdout
 
     @pytest.mark.parametrize("name", ["rb-iv", "rb-vi"])
     def test_sweep_same_under_threaded_blas(self, tmp_path, name):

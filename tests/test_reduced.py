@@ -140,7 +140,26 @@ class TestReducedModel:
     def test_shares_the_operators_factors(self):
         op, _, _ = _random_optimal(8)
         model = build_svd_reduced_model(op)
-        assert model.L is op.Q and model.R is op.P
+        assert model.L is op.Q and model.R is op.P and model.S is op.propagator
+        assert not model.S.flags.writeable
+        np.testing.assert_array_equal(model.S, op.Q.T @ op.P)
+
+    def test_one_operator_forms_its_propagator_once(self):
+        # Q^T P is n r^2 multiply-adds; the reduced model, the spectral build and the simulator all read it.
+        op, _, rng = _random_optimal(8)
+        n, r, T = op.n, op.r, 5
+        theta = rng.standard_normal(n)
+        with audit.tally() as alone:
+            build_spectral_model(FactoredOperator(P=op.P, Q=op.Q))
+            simulate_operator(FactoredOperator(P=op.P, Q=op.Q), theta, T)
+        with audit.tally() as shared:
+            build_svd_reduced_model(op)
+            build_spectral_model(op)
+            simulate_operator(op, theta, T)
+        assert alone.multiply_adds - shared.multiply_adds == n * r * r
+        with audit.tally() as again:
+            build_svd_reduced_model(op)
+        assert again.multiply_adds == 0
 
     def test_power_identity(self):
         # R S^{t-1} L^T theta reproduces the t-th operator power applied to theta
@@ -491,12 +510,14 @@ class TestWholeHorizon:
         spectral = build_spectral_model(op)
         assert r == spectral.r == 6 and np.any(spectral.eigvals.imag)
         factors = r * n + (T - 2) * r * r + (T - 1) * (r * n + r)
-        expected = {
-            simulate_operator: (op, factors + n * r * r),
-            simulate_reduced: (build_svd_reduced_model(op), factors),
-            simulate_spectral: (spectral, 2 * r * n + 4 * r * (T - 1) + T * (r * n + r + 2 * r * r)),
-        }
-        for simulate, (model, madds) in expected.items():
+        # The spectral build formed op's propagator; a fresh operator forms its own, n r^2 multiply-adds.
+        cases = [
+            (simulate_operator, op, factors),
+            (simulate_operator, FactoredOperator(P=op.P, Q=op.Q), factors + n * r * r),
+            (simulate_reduced, build_svd_reduced_model(op), factors),
+            (simulate_spectral, spectral, 2 * r * n + 4 * r * (T - 1) + T * (r * n + r + 2 * r * r)),
+        ]
+        for simulate, model, madds in cases:
             with audit.tally() as t:
                 simulate(model, theta, T)
             assert t.max_elements <= 2 * T * r, simulate.__name__
