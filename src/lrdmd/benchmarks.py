@@ -351,7 +351,7 @@ class ErrorCurve:
 def error_sweep(
     data: SnapshotPair,
     k_range,
-    methods=("optimal", "truncated", "projected"),
+    methods=tuple(SOLVERS),
 ) -> ErrorCurve:
     """Normalised error ``||Y - A_k X||_F / ||Y||_F`` over k for each method.
 
@@ -381,7 +381,7 @@ def error_sweep(
         except LrdmdError as exc:
             flags[name] = [f"error:{type(exc).__name__}"] * ks.size
             continue
-        direct = fit.residuals_fro(data, int(ks[-1]))
+        direct = fit.residuals_fro(data)
         for j, k in enumerate(ks.tolist()):
             rep = _report(float(direct[k - 1]), data, fit.error_sq(k))
             if rep.closed_form_error is not None:

@@ -159,7 +159,7 @@ def _load_theta(args) -> np.ndarray:
             raise InvalidInput(f"{args.theta_file} is {theta.shape[0]}x{theta.shape[1]}, not one row or one column")
         theta = theta.ravel()
     elif args.dataset is not None and args.column is not None:
-        X = lio.read_matrix_csv(Path(args.dataset) / lio.X_NAME)  # the initial state is a column of X alone
+        X, _manifest = lio.read_dataset_x(args.dataset)  # the initial state is a column of X alone
         if not (0 <= args.column < X.shape[1]):
             raise InvalidInput(f"column must lie in [0, {X.shape[1]})")
         theta = X[:, args.column]
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[common], help="error-vs-k sweep across methods")
     p.add_argument("dataset")
     p.add_argument("--k-range", default="all", help='"lo:hi[:step]", "k1,k2,..." or "all"')
-    p.add_argument("--methods", default="optimal,truncated,projected")
+    p.add_argument("--methods", default=",".join(SOLVERS))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

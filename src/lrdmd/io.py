@@ -17,8 +17,9 @@ reader lay out all three kinds.  Every reader rejects a document that is not
 JSON, another schema version, a layout (n, m or dims) that disagrees with the
 matrices and an N, T that are not both null or both positive integers; the
 model reader also rejects blocks that are not text, lack an array of the
-model's kind or split one into _re/_im halves of two shapes, and flags that
-are not a list of strings.
+model's kind or split one into _re/_im halves of two shapes, flags that are
+not a list of strings, and any array the model's own check refuses (a
+complex factor of a factored or reduced model among them).
 """
 
 from __future__ import annotations
@@ -158,10 +159,11 @@ def write_dataset(directory: Path | str, data: SnapshotPair, manifest: dict) -> 
     _write_dataset_csv(d / Y_NAME, data.Y)
 
 
-def read_dataset(directory: Path | str) -> tuple[SnapshotPair, dict]:
-    """The pair and manifest ``write_dataset`` wrote; the manifest's ``n``, ``m`` must match X.
+def read_dataset_x(directory: Path | str) -> tuple[np.ndarray, dict]:
+    """X and the manifest of a dataset ``write_dataset`` wrote, without reading Y.
 
-    ``N`` and ``T`` are both null (a bare pair) or both positive integers.
+    The manifest's ``n``, ``m`` must match X, and its ``N`` and ``T`` be both
+    null (a bare pair) or both positive integers.
     """
     d = Path(directory)
     manifest = _read_document(d / MANIFEST_NAME)
@@ -169,11 +171,16 @@ def read_dataset(directory: Path | str) -> tuple[SnapshotPair, dict]:
     if not (n_traj is None and traj_len is None or all(type(v) is int and v > 0 for v in (n_traj, traj_len))):
         raise InvalidInput(f"manifest N={n_traj!r}, T={traj_len!r}: expected both null or both positive integers")
     X = read_matrix_csv(d / X_NAME)
-    Y = read_matrix_csv(d / Y_NAME)
     if (manifest.get("n"), manifest.get("m")) != X.shape:
         raise InvalidInput(f"manifest n={manifest.get('n')}, m={manifest.get('m')} but X is {X.shape[0]}x{X.shape[1]}")
-    pair = SnapshotPair(X=X, Y=Y, n_traj=n_traj, traj_len=traj_len)
-    return pair, manifest
+    return X, manifest
+
+
+def read_dataset(directory: Path | str) -> tuple[SnapshotPair, dict]:
+    """The pair and manifest ``write_dataset`` wrote, checked by ``read_dataset_x``."""
+    X, manifest = read_dataset_x(directory)
+    Y = read_matrix_csv(Path(directory) / Y_NAME)
+    return SnapshotPair(X=X, Y=Y, n_traj=manifest.get("N"), traj_len=manifest.get("T")), manifest
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +263,7 @@ def load_model(path: Path | str):
     arrays = _read_blocks(path, doc.get("blocks"), names)
     try:
         obj = build(arrays, tuple(flags))
-    except InvalidInput as exc:  # the model's own shape check
+    except InvalidInput as exc:  # the model's own shape and type check
         raise InvalidInput(f"{path}: {exc}") from exc
     if doc.get("dims") != {"n": obj.n, "r": obj.r}:
         raise InvalidInput(f"{path}: model dims {doc.get('dims')} but its blocks give n={obj.n}, r={obj.r}")

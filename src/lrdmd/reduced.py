@@ -63,6 +63,8 @@ class ReducedModel:
     S: np.ndarray
 
     def __post_init__(self):
+        if any(np.iscomplexobj(M) for M in (self.L, self.R, self.S)):
+            raise InvalidInput("L, R and S must be real, got complex entries")
         if self.L.ndim != 2 or self.R.shape != self.L.shape or self.S.shape != (self.L.shape[1],) * 2:
             raise InvalidInput(
                 f"L and R must be n-by-r and S r-by-r, got L {self.L.shape}, R {self.R.shape}, S {self.S.shape}"

@@ -44,6 +44,7 @@ from .errors import InvalidInput, InvalidRank
 from .linalg import (
     DEFAULT_RANK_TOL,
     ThinSVD,
+    _require_matrix,
     numerical_rank,
     thin_svd,
 )
@@ -65,9 +66,10 @@ class SnapshotPair:
     but required by the noise model, which must corrupt a snapshot shared
     between X and Y consistently.
 
-    A pair does not copy its arrays: X and Y are read-only views of the
-    arrays passed in (float input is not converted), so the caller must not
-    change those arrays after construction.  Three factorisations are
+    X and Y pass ``linalg``'s matrix rule (real, finite, 2-d, non-empty) and
+    are not copied: they are read-only views of the arrays passed in (float
+    input is not converted), so the caller must not change those arrays
+    after construction.  Three factorisations are
     computed on first use and read by every fit of the pair: ``svd_x``, the
     thin SVD of X, ``svd_c``, that of ``C = Y V_r`` with Y's energy outside
     the row space of X, and ``svd_b``, that of the m-by-m
@@ -83,14 +85,9 @@ class SnapshotPair:
     traj_len: int | None = None
 
     def __post_init__(self):
-        if np.iscomplexobj(self.X) or np.iscomplexobj(self.Y):
-            raise InvalidInput("snapshot matrices must be real, got complex entries")
-        X = np.asarray(self.X, dtype=float)
-        Y = np.asarray(self.Y, dtype=float)
-        if X.ndim != 2 or X.shape != Y.shape:
+        X, Y = _require_matrix(self.X, "X"), _require_matrix(self.Y, "Y")
+        if X.shape != Y.shape:
             raise InvalidInput(f"X and Y must be matrices of identical shape, got {X.shape} vs {Y.shape}")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
-            raise InvalidInput("snapshot matrices contain non-finite entries")
         if self.n_traj is not None and self.traj_len is not None:
             if self.n_traj * (self.traj_len - 1) != X.shape[1]:
                 raise InvalidInput(
@@ -183,6 +180,8 @@ class FactoredOperator:
     flags: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
+        if np.iscomplexobj(self.P) or np.iscomplexobj(self.Q):
+            raise InvalidInput("P and Q must be real, got complex entries")
         if self.P.ndim != 2 or self.Q.ndim != 2 or self.P.shape != self.Q.shape:
             raise InvalidInput(f"P and Q must be n-by-r with equal shapes, got {self.P.shape} vs {self.Q.shape}")
 
@@ -292,19 +291,17 @@ class LowRankFit:
         P = self.p_basis[:, :keep].copy() if self.p_mix is None else audit.mm(self.p_basis, self.p_mix[:, :keep])
         return FactoredOperator(P=P, Q=audit.mm(self.q_basis, self.q_mix[:, :keep]), flags=self._flags_at(k))
 
-    def residuals_fro(self, data: SnapshotPair, k_max: int | None = None) -> np.ndarray:
-        """``||Y - A_k X||_F`` of ``operator(k)`` for k = 1..k_max (default m), in O(n m^2).
+    def residuals_fro(self, data: SnapshotPair) -> np.ndarray:
+        """``||Y - A_k X||_F`` of ``operator(k)`` for every k = 1..m, in O(n m^2).
 
         The full ``P`` has orthonormal columns, so with ``H = P^T Y``,
         ``G = Q^T X`` and ``E = Y - P H`` orthogonal to it, the residual
         ``Y - P_k G_k = E + P (H - [G_k; 0])`` splits into
         ``||E||^2 + sum_{j<=k} ||h_j - g_j||^2 + sum_{j>k} ||h_j||^2``: the
-        direct residual of ``operator(k)``, never the closed form.  Every k
-        is read off the full fit, so a shorter sweep is a prefix, and a k
+        direct residual of ``operator(k)``, never the closed form.  Entry
+        ``k - 1`` answers k, so every sweep indexes this one array, and a k
         past ``rank`` reads the rank's value, as ``operator(k)`` stops there.
         """
-        k_max = self.m if k_max is None else k_max
-        _check_k(k_max, self.m)
         r = self.rank
         P = self.p_basis[:, :r] if self.p_mix is None else audit.mm(self.p_basis, self.p_mix[:, :r])
         G = audit.mm(self.q_mix[:, :r].T, audit.mm(self.q_basis.T, data.X))
@@ -316,7 +313,7 @@ class LowRankFit:
         head = np.concatenate(([0.0], np.cumsum(np.einsum("ij,ij->i", D, D))))
         tail = np.concatenate((np.cumsum(np.einsum("ij,ij->i", H, H)[::-1])[::-1], [0.0]))
         sq = float(np.vdot(E, E)) + head + tail
-        return np.sqrt(sq[np.minimum(np.arange(1, k_max + 1), r)])
+        return np.sqrt(sq[np.minimum(np.arange(1, self.m + 1), r)])
 
     def error_sq(self, k: int) -> float | None:
         """Closed-form squared error ``sum(s[k:]^2) + leak_sq``; None for a fit without one."""

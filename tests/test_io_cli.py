@@ -720,6 +720,20 @@ class TestEachCheckHasOneOwner:
         assert main(["fit", str(toy_ds), "--k", "3", "--out", str(tmp_path / "fit"), "--quiet"]) == 2
         assert "but X is 50x40" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("manifest", ["missing", "schema-7"])
+    def test_simulate_reads_the_dataset_manifest(self, toy_ds, toy_fit, tmp_path, capsys, manifest):
+        path = toy_ds / lio.MANIFEST_NAME
+        if manifest == "missing":
+            path.unlink()
+        else:
+            self._edit(path, lambda doc: {**doc, "schema_version": 7, "n": 999})
+        argv = ["simulate", str(toy_fit[1] / "model-reduced.json"), "--dataset", str(toy_ds), "--column", "0"]
+        out = tmp_path / "traj.csv"
+        assert main(argv + ["--steps", "3", "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ["factored", "reduced", "spectral"])
     @pytest.mark.parametrize(
         "edit",
@@ -1060,6 +1074,25 @@ class TestModelShapes:
         model = self._model(toy_fit, tmp_path, "spectral", ["xi_re", "xi_im"])
         argv = ["verify", str(toy_fit[0]), "--k", "3", "--spectral-model", str(model), "--quiet"]
         TestModelFileTypes._assert_exit2(argv, capsys, model, f"{model}: eigvals must have length r and zeta, xi be")
+
+
+class TestRealFactors:
+    """A factored or reduced model whose real factor is stored as a ``_re``/``_im`` pair exits 2 naming the file."""
+
+    @pytest.mark.parametrize(
+        "kind, block, message",
+        [("factored", "P", "P and Q must be real"), ("reduced", "S", "L, R and S must be real")],
+        ids=["factored", "reduced"],
+    )
+    def test_simulate_exit2(self, toy_fit, tmp_path, capsys, kind, block, message):
+        source = toy_fit[1] / f"model-{kind}.json"
+        model = tmp_path / source.name
+        doc = json.loads(source.read_text())
+        text = doc["blocks"].pop(block)
+        model.write_text(json.dumps({**doc, "blocks": {**doc["blocks"], f"{block}_re": text, f"{block}_im": text}}))
+        argv = ["simulate", str(model), "--dataset", str(toy_fit[0]), "--column", "0", "--steps", "3"]
+        TestModelFileTypes._assert_exit2(argv + ["--out", str(tmp_path / "traj.csv"), "--quiet"], capsys, model, message)
+        assert not (tmp_path / "traj.csv").exists()
 
 
 class TestMalformedBlockText:

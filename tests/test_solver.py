@@ -8,8 +8,10 @@ from lrdmd import (
     FactoredOperator,
     InvalidInput,
     InvalidRank,
+    ReducedModel,
     SnapshotPair,
     error_report,
+    error_sweep,
     first_order_residual,
     fit_optimal,
     fit_projected,
@@ -57,17 +59,22 @@ _RANK1 = FactoredOperator(P=np.eye(3)[:, :1], Q=np.eye(3)[:, :1])
         # cast to float, complex snapshots would be fitted by their real parts alone
         (lambda: SnapshotPair(X=np.ones((1, 2)) + 1j, Y=np.ones((1, 2))), "must be real, got complex entries"),
         (lambda: SnapshotPair(X=np.ones((1, 2)), Y=np.ones((1, 2)) + 1j), "must be real, got complex entries"),
+        # linalg's matrix rule: an empty or 1-d X is rejected here, not by the first fit's thin_svd
+        (lambda: SnapshotPair(X=np.ones((3, 0)), Y=np.ones((3, 0))), "X must be 2-d with positive dimensions"),
+        (lambda: SnapshotPair(X=np.ones(3), Y=np.ones(3)), "X must be 2-d with positive dimensions"),
         (lambda: SnapshotPair.from_trajectories([]), "need at least one trajectory"),
         (lambda: SnapshotPair.from_trajectories([np.ones((3, 2)), np.ones((4, 2))]), "share a common shape"),
         (lambda: SnapshotPair.from_trajectories([np.ones((1, 2))]), "at least two snapshots"),
         (lambda: FactoredOperator(P=np.ones((4, 2)), Q=np.ones((4, 3))), "equal shapes"),
+        (lambda: FactoredOperator(P=np.ones((4, 2)) + 0j, Q=np.ones((4, 2))), "P and Q must be real"),
+        (lambda: ReducedModel(L=np.ones((4, 2)), R=np.ones((4, 2)), S=np.eye(2) + 0j), "L, R and S must be real"),
         (lambda: FactoredOperator(P=np.ones((4, 2)), Q=np.ones((4, 2))).apply(np.ones(3)), "length 4 expected"),
         # X Y^T P = 0: the residual is 0 when X X^T Q vanishes too, and infinite otherwise
         (lambda: first_order_residual(_RANK1, SnapshotPair(X=np.zeros((3, 2)), Y=np.ones((3, 2)))), 0.0),
         (lambda: first_order_residual(_RANK1, SnapshotPair(X=np.eye(3), Y=np.zeros((3, 3)))), np.inf),
     ],
-    ids=["x-nan", "y-inf", "x-complex", "y-complex", "no-trajectories", "unequal-trajectories", "one-snapshot",
-         "p-q-shapes", "apply-length", "zero-lhs-zero-rhs", "zero-lhs"],
+    ids=["x-nan", "y-inf", "x-complex", "y-complex", "x-empty", "x-1d", "no-trajectories", "unequal-trajectories",
+         "one-snapshot", "p-q-shapes", "p-complex", "s-complex", "apply-length", "zero-lhs-zero-rhs", "zero-lhs"],
 )
 def test_input_checks(call, outcome):
     if isinstance(outcome, str):
@@ -462,7 +469,7 @@ class TestLowRankFitContract:
 
 
 class TestResidualsFro:
-    """``LowRankFit.residuals_fro``: every k's direct residual off one fit, and a shorter sweep its prefix."""
+    """``LowRankFit.residuals_fro``: every k's direct residual in one call, so a shorter sweep is a prefix."""
 
     @pytest.mark.parametrize("method", ["optimal", "truncated", "projected"])
     def test_prefix(self, method):
@@ -472,17 +479,15 @@ class TestResidualsFro:
         fit = lrdmd.SOLVERS[method](data)
         full = fit.residuals_fro(data)
         assert full.shape == (8,)
-        np.testing.assert_array_equal(fit.residuals_fro(data, 3), full[:3])
+        short, whole = error_sweep(data, [1, 2, 3], [method]), error_sweep(data, range(1, 9), [method])
+        np.testing.assert_array_equal(short.errors[method], whole.errors[method][:3])
+        assert short.flags[method] == whole.flags[method][:3]
+        if method == "optimal":
+            np.testing.assert_array_equal(short.closed_form, whole.closed_form[:3])
+            np.testing.assert_array_equal(short.closed_form_gap, whole.closed_form_gap[:3])
         assert np.all(full[fit.rank :] == full[fit.rank - 1])  # past the rank, the rank's operator
         for k in range(1, 9):
             assert full[k - 1] == pytest.approx(fit.operator(k).residual_fro(data), rel=1e-12, abs=1e-14)
-
-    def test_k_max_outside_range(self):
-        rng = np.random.default_rng(39)
-        data = SnapshotPair(X=rng.standard_normal((6, 4)), Y=rng.standard_normal((6, 4)))
-        for k_max in (0, 5):
-            with pytest.raises(InvalidRank):
-                fit_optimal(data).residuals_fro(data, k_max)
 
     def test_degenerate_fit_reads_norm_y(self):
         data = SnapshotPair(X=np.zeros((6, 4)), Y=np.random.default_rng(40).standard_normal((6, 4)))
