@@ -44,6 +44,7 @@ from .reduced import (
     Trajectory,
     build_spectral_model,
     build_svd_reduced_model,
+    modal_block,
     simulate_operator,
     simulate_reduced,
     simulate_spectral,

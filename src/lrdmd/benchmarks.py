@@ -213,26 +213,24 @@ def gen_spectral_truth(base: SpectralModel, N: int, T: int, seed: int) -> Snapsh
     combinations of the generating eigenvectors (normalised per mode so all
     three modes carry comparable energy) plus a small generic component, so
     every eigendirection is identifiable from the data.  Each trajectory is
-    the spectral recursion from theta, whose first state is theta itself,
-    not its projection onto the modes.
+    the spectral recursion from theta, whose first state is theta itself.
     """
     if base.r != 3:
         raise InvalidInput(f"rank-3 spectral model expected, got r={base.r}")
-    pair = np.sum(base.left_vecs * base.right_vecs, axis=0)
+    zeta, xi = base.complex_modes()
+    pair = np.sum(xi * zeta, axis=0)
     if np.max(np.abs(pair - 1.0)) > 1e-6:
         raise InvalidInput("base model is not normalised to xi^T zeta = 1")
     rng = _rng(seed)
     n = base.n
-    col_scale = np.linalg.norm(base.right_vecs, axis=0)
-    z_re = base.right_vecs.real / col_scale
-    z_im = base.right_vecs.imag / col_scale
+    col_scale = np.linalg.norm(zeta, axis=0)
+    z_re = zeta.real / col_scale
+    z_im = zeta.imag / col_scale
     trajectories = []
     for _ in range(N):
         theta = z_re @ rng.standard_normal(3) + z_im @ rng.standard_normal(3)
         theta = theta + 0.02 * rng.standard_normal(n) / np.sqrt(n)
-        states = simulate_spectral(base, theta, T).states
-        states[0] = theta
-        trajectories.append(states)
+        trajectories.append(simulate_spectral(base, theta, T).states)
     return SnapshotPair.from_trajectories(trajectories)
 
 

@@ -11,15 +11,16 @@ Beside each dataset CSV the writer also saves the parsed matrix as
 ``<name>.<sha256 of the CSV's bytes>.npy``; the reader loads that copy when
 its name matches the CSV it read and parses the text otherwise, so the CSV
 stays the source of truth and an edited CSV is never shadowed by its copy.
-Models are single JSON files embedding their matrices as CSV-format text
-blocks (complex matrices split into _re/_im blocks); one writer and one
-reader lay out all three kinds.  Every reader rejects a document that is not
-JSON, another schema version, a layout (n, m or dims) that disagrees with the
-matrices and an N, T that are not both null or both positive integers; the
-model reader also rejects blocks that are not text, lack an array of the
-model's kind or split one into _re/_im halves of two shapes, flags that are
-not a list of strings, and any array the model's own check refuses (a
-complex factor of a factored or reduced model among them).
+Models are single JSON files embedding their real matrices as CSV-format
+text blocks; one writer and one reader lay out all three kinds.  A spectral
+model's complex eigenvalues are the r-by-2 block ``eigvals`` (real part,
+imaginary part), joined back bit for bit.  Every reader rejects a document
+that is not JSON, another schema version, a layout (n, m or dims) that
+disagrees with the matrices and an N, T that are not both null or both
+positive integers; the model reader also rejects blocks that are not text or
+lack an array of the model's kind (so a spectral file of the older complex
+layout names its missing ``eigvals``), flags that are not a list of strings,
+and any array the model's own check refuses.
 """
 
 from __future__ import annotations
@@ -166,13 +167,14 @@ def read_dataset_x(directory: Path | str) -> tuple[np.ndarray, dict]:
     null (a bare pair) or both positive integers.
     """
     d = Path(directory)
-    manifest = _read_document(d / MANIFEST_NAME)
+    path = d / MANIFEST_NAME
+    manifest = _read_document(path)
     n_traj, traj_len = manifest.get("N"), manifest.get("T")
     if not (n_traj is None and traj_len is None or all(type(v) is int and v > 0 for v in (n_traj, traj_len))):
-        raise InvalidInput(f"manifest N={n_traj!r}, T={traj_len!r}: expected both null or both positive integers")
+        raise InvalidInput(f"{path}: N={n_traj!r}, T={traj_len!r}: expected both null or both positive integers")
     X = read_matrix_csv(d / X_NAME)
     if (manifest.get("n"), manifest.get("m")) != X.shape:
-        raise InvalidInput(f"manifest n={manifest.get('n')}, m={manifest.get('m')} but X is {X.shape[0]}x{X.shape[1]}")
+        raise InvalidInput(f"{path}: n={manifest.get('n')}, m={manifest.get('m')} but X is {X.shape[0]}x{X.shape[1]}")
     return X, manifest
 
 
@@ -189,51 +191,45 @@ def read_dataset(directory: Path | str) -> tuple[SnapshotPair, dict]:
 
 
 def _save_model(path: Path | str, kind: str, model, flags, provenance: dict, **arrays: np.ndarray) -> None:
-    """Write ``model``'s document; each complex array goes in as a ``<name>_re`` and a ``<name>_im`` block."""
-    blocks = {}
-    for name, M in arrays.items():
-        if np.iscomplexobj(M):
-            blocks[f"{name}_re"], blocks[f"{name}_im"] = matrix_to_block(M.real), matrix_to_block(M.imag)
-        else:
-            blocks[name] = matrix_to_block(M)
+    """Write ``model``'s document, one text block per array."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "dims": {"n": model.n, "r": model.r},
         "flags": list(flags),
         "provenance": provenance,
-        "blocks": blocks,
+        "blocks": {name: matrix_to_block(M) for name, M in arrays.items()},
     }
     Path(path).write_text(dump_json(doc))
+
+
+def _eigvals(parts: np.ndarray) -> np.ndarray:
+    """The r complex values of an r-by-2 block, joined as float pairs (re + 1j * im would lose -0.0 and inf)."""
+    if parts.shape[1] != 2:
+        raise InvalidInput(f"block 'eigvals' must be r-by-2 (real part, imaginary part), got {parts.shape[1]} columns")
+    return parts.view(complex).ravel()
 
 
 #: Each model kind's arrays, as ``_save_model`` is given them, and the model ``load_model`` builds from them.
 _MODEL_KINDS = {
     "factored": (("P", "Q"), lambda a, f: FactoredOperator(**a, flags=f)),
     "reduced": (("L", "R", "S"), lambda a, f: ReducedModel(**a)),
-    "spectral": (("eigvals", "zeta", "xi"), lambda a, f: SpectralModel(a["eigvals"].ravel(), a["zeta"], a["xi"], f)),
+    "spectral": (("eigvals", "zeta", "xi"), lambda a, f: SpectralModel(_eigvals(a["eigvals"]), a["zeta"], a["xi"], f)),
 }
 
 
 def _read_blocks(path: Path, blocks, names: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """The arrays ``names`` of a model document's ``blocks``, each one block or a ``<name>_re``/``<name>_im`` pair."""
+    """The arrays ``names`` of a model document's ``blocks``, one text block each."""
     if not isinstance(blocks, dict):
         raise InvalidInput(f"{path}: 'blocks' must be an object, got {blocks!r:.40}")
     arrays = {}
     for name in names:
-        keys = [name] if name in blocks else [f"{name}_re", f"{name}_im"]
-        parts = []
-        for key in keys:
-            if not isinstance(blocks.get(key), str):
-                raise InvalidInput(f"{path}: block {key!r} is {'not a string' if key in blocks else 'missing'}")
-            try:
-                parts.append(block_to_matrix(blocks[key]))
-            except InvalidInput as exc:
-                raise InvalidInput(f"{path}: block {key!r}: {exc}") from exc
-        if len(parts) == 2 and parts[0].shape != parts[1].shape:
-            raise InvalidInput(f"{path}: blocks {keys[0]!r} and {keys[1]!r} differ in shape")
-        # Joined as float pairs, not summed as re + 1j * im, which loses the sign of zeros and turns inf into nan.
-        arrays[name] = parts[0] if len(parts) == 1 else np.stack(parts, axis=-1).view(complex)[..., 0]
+        if not isinstance(blocks.get(name), str):
+            raise InvalidInput(f"{path}: block {name!r} is {'not a string' if name in blocks else 'missing'}")
+        try:
+            arrays[name] = block_to_matrix(blocks[name])
+        except InvalidInput as exc:
+            raise InvalidInput(f"{path}: block {name!r}: {exc}") from exc
     return arrays
 
 
@@ -246,7 +242,8 @@ def save_reduced(path: Path | str, model: ReducedModel, provenance: dict) -> Non
 
 
 def save_spectral(path: Path | str, model: SpectralModel, provenance: dict) -> None:
-    arrays = {"eigvals": model.eigvals, "zeta": model.right_vecs, "xi": model.left_vecs}
+    arrays = {"eigvals": np.column_stack((model.eigvals.real, model.eigvals.imag)), "zeta": model.right_vecs,
+              "xi": model.left_vecs}
     _save_model(path, "spectral", model, model.flags, provenance, **arrays)
 
 

@@ -9,9 +9,9 @@ conventions LAPACK leaves open so that outputs are reproducible run to run:
   its largest-magnitude entry (lowest index on ties) is real and
   non-negative, the right singular vectors following the left ones;
 * singular values descending;
-* eigenvalues ordered by descending modulus, the member of a conjugate pair
-  with positive imaginary part first, eigenvectors the unit-norm columns
-  LAPACK returns;
+* eigenvalues ordered by descending modulus, each conjugate pair adjacent
+  with its positive-imaginary member first (also for repeated pairs),
+  eigenvectors the unit-norm columns LAPACK returns;
 * one numerical-rank cutoff, ``DEFAULT_RANK_TOL``, for every rank decision
   in the package.
 """
@@ -29,10 +29,15 @@ from .errors import EigFailure, InvalidInput
 DEFAULT_RANK_TOL = 1e-12
 
 
-def _require_matrix(M: np.ndarray, name: str = "matrix") -> np.ndarray:
-    if np.iscomplexobj(M):
+def _require_real(a, name: str) -> np.ndarray:
+    """``a`` as a float array; complex input raises instead of being cut to its real part."""
+    if np.iscomplexobj(a):
         raise InvalidInput(f"{name} must be real, got complex entries")
-    M = np.asarray(M, dtype=float)
+    return np.asarray(a, dtype=float)
+
+
+def _require_matrix(M: np.ndarray, name: str = "matrix") -> np.ndarray:
+    M = _require_real(M, name)
     if M.ndim != 2 or M.shape[0] < 1 or M.shape[1] < 1:
         raise InvalidInput(f"{name} must be 2-d with positive dimensions, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
@@ -96,8 +101,8 @@ class ComplexEigenSet:
     """Eigenpairs ordered by descending modulus, unit-norm vectors.
 
     ``values[i]`` goes with column ``vectors[:, i]``.  For a real source
-    matrix, non-real eigenvalues appear in conjugate pairs with the positive
-    imaginary part first.
+    matrix, non-real eigenvalues appear in adjacent conjugate pairs with the
+    positive imaginary part first, and a pair's vectors are conjugates.
     """
 
     values: np.ndarray
@@ -105,9 +110,10 @@ class ComplexEigenSet:
 
 
 def _eig_order(values: np.ndarray) -> np.ndarray:
-    # Descending |lambda|; conjugate partner with positive imag part first;
-    # real part breaks remaining ties.  lexsort keys: last is primary.
-    return np.lexsort((-values.imag, -values.real, -np.abs(values)))
+    # Descending |lambda|, then real part; among equal keys each conjugate pair (LAPACK lists it adjacent,
+    # positive imaginary part first) keeps its place, so repeated pairs stay paired.  Last key is primary.
+    pair = np.arange(values.size) - (values.imag < 0)
+    return np.lexsort((-values.imag, pair, -values.real, -np.abs(values)))
 
 
 def eig_nonsymmetric(M: np.ndarray) -> ComplexEigenSet:

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, SimulationBlowup
+from .linalg import _require_real
 
 TWO_PI = 2.0 * np.pi
 
@@ -278,7 +279,7 @@ def split_state(x: np.ndarray, grid: tuple[int, int]) -> tuple[np.ndarray, np.nd
 def _as_batch(grid: tuple[int, int], *fields) -> tuple[list[np.ndarray], bool]:
     """Cell-grid fields as (N, n1, n2) stacks, and whether they came as single fields."""
     grid = tuple(grid)
-    arrays = [np.asarray(f, dtype=float) for f in fields]
+    arrays = [_require_real(f, "initial fields") for f in fields]
     shape = arrays[0].shape
     if shape[-2:] != grid or len(shape) not in (2, 3) or any(a.shape != shape for a in arrays):
         raise InvalidInput(f"fields of shape {grid} or (N, *{grid}) expected, got {[a.shape for a in arrays]}")

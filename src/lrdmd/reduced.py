@@ -6,19 +6,18 @@ n-by-n matrix:
 * an encoder/propagator/decoder recursion (``z_1 = L^T theta``,
   ``z_t = S z_{t-1}``, ``x_t = R z_{t-1}`` for t >= 2) at O(r^2 + rn) per
   step, and
-* a spectral model from the eigentriples of the operator, giving the
-  O(rn)-per-step diagonal recursion
-  ``x_t = sum_i zeta_i lambda_i^{t-1} (xi_i^T theta)``.
+* a spectral model from the eigentriples of the operator, held in real
+  modal form: ``x_t = R B^{t-1} L^T theta`` for t >= 2, where B is real
+  block diagonal (lambda for a real mode, ``[[a, b], [-b, a]]`` for a
+  conjugate pair a +- ib, whose columns of R are ``Re zeta, Im zeta``).
 
-All three simulators (these two and the factored operator itself) share one
-path: the whole latent path is computed first in r-space at O(T r^2), and the
-n-space states are then written into the (T, n) output by one real GEMM.  A
-matrix-vector product per step would re-read the n-by-r decoder for every
-state it writes.  The spectral lift is real and r columns wide: an exactly
-conjugate pair of modes shares the two columns ``[Re zeta, Im zeta]`` and a
-mode with a real vector takes one.  The output is written once and never read
-back: a bound computed in r-space proves each lifted row finite, and only the
-rows it cannot certify are checked.
+All three simulators (these two and the factored operator itself) run one
+recursion from ``x_1 = theta``: the whole latent path is computed first in
+r-space at O(T r^2), and the n-space states are then written into the (T, n)
+output by one real GEMM.  A matrix-vector product per step would re-read the
+n-by-r decoder for every state it writes.  The output is written once and
+never read back: a bound computed in r-space proves each lifted row finite,
+and only the rows it cannot certify are checked.
 
 The first construction is the operator's own recursion: for any factors,
 ``R S^{t-1} L^T = P (Q^T P)^{t-1} Q^T = (P Q^T)^t``.
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import audit
 from .errors import DiagonalisabilityWarning, InvalidInput, PairingFailure, SimulationBlowup
-from .linalg import eig_nonsymmetric
+from .linalg import _require_real, eig_nonsymmetric
 from .solver import FactoredOperator
 
 #: Eigenvalues below this fraction of the dominant modulus count as zero.
@@ -79,12 +78,34 @@ class ReducedModel:
         return self.R.shape[0]
 
 
+def _conjugate_pairs(lam: np.ndarray) -> np.ndarray:
+    """First index of each pair ``a + ib, a - ib`` (b > 0) of ``lam``: the modal layout, checked here alone."""
+    lead = np.flatnonzero(lam.imag > 0)
+    partner = lam[np.minimum(lead + 1, lam.size - 1)]
+    if np.count_nonzero(lam.imag != 0) != 2 * lead.size or np.any(partner != np.conj(lam[lead])):
+        raise InvalidInput("eigvals must list each complex eigenvalue a + ib (b > 0) directly before its conjugate")
+    return lead
+
+
+def modal_block(eigvals: np.ndarray) -> np.ndarray:
+    """The real block-diagonal propagator B: lambda for a real mode, ``[[a, b], [-b, a]]`` for a pair a +- ib."""
+    lead = _conjugate_pairs(eigvals)
+    B = np.diag(eigvals.real)
+    B[lead, lead + 1], B[lead + 1, lead] = eigvals.imag[lead], -eigvals.imag[lead]
+    return B
+
+
 @dataclass(frozen=True)
 class SpectralModel:
-    """Eigentriples (zeta_i, xi_i, lambda_i) of a low-rank operator.
+    """Eigentriples (zeta_i, xi_i, lambda_i) of a low-rank operator, in real modal form.
 
-    Ordered by descending |lambda|; rescaled so that ``xi_i^T zeta_i = 1``
-    (plain transpose, no conjugation).  ``flags`` may contain
+    ``eigvals`` is complex, ordered by descending |lambda| with each
+    conjugate pair adjacent and its ``b > 0`` member first.  ``right_vecs``
+    R and ``left_vecs`` L are real n-by-r: a real mode's columns are zeta
+    and xi, and a pair's two columns are ``Re zeta, Im zeta`` and
+    ``2 Re xi, -2 Im xi``.  Then ``A R = R B``, ``L^T A = B L^T`` and
+    ``L^T R = I`` for ``B = modal_block(eigvals)``; ``complex_modes`` gives
+    the complex zeta and xi back.  ``flags`` may contain
     "ill_conditioned_eigenbasis" when the operator is close to defective.
     """
 
@@ -100,6 +121,9 @@ class SpectralModel:
                 f"eigvals must have length r and zeta, xi be n-by-r, got eigvals {self.eigvals.shape}, "
                 f"zeta {z.shape}, xi {x.shape}"
             )
+        if np.iscomplexobj(z) or np.iscomplexobj(x):
+            raise InvalidInput("zeta and xi must be real, got complex entries")
+        _conjugate_pairs(self.eigvals)
 
     @property
     def r(self) -> int:
@@ -108,6 +132,16 @@ class SpectralModel:
     @property
     def n(self) -> int:
         return self.right_vecs.shape[0]
+
+    def complex_modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The complex eigenvectors (zeta, xi), n-by-r each, with ``xi^T zeta = I`` (plain transpose)."""
+        lead = _conjugate_pairs(self.eigvals)
+        R, L = self.right_vecs, self.left_vecs
+        zeta, xi = R.astype(complex), L.astype(complex)
+        zeta.imag[:, lead] = R[:, lead + 1]
+        xi[:, lead] = (L[:, lead] - 1j * L[:, lead + 1]) / 2
+        zeta[:, lead + 1], xi[:, lead + 1] = zeta[:, lead].conj(), xi[:, lead].conj()
+        return zeta, xi
 
 
 @dataclass(frozen=True)
@@ -119,7 +153,6 @@ class Trajectory:
     """
 
     states: np.ndarray
-    max_imag_residue: float | None = None
 
     @property
     def T(self) -> int:
@@ -150,19 +183,22 @@ def _kept_left_rows(K: np.ndarray, lam: np.ndarray, W: np.ndarray) -> np.ndarray
 
 
 def build_spectral_model(op: FactoredOperator) -> SpectralModel:
-    """Eigentriples of ``A = P Q^T`` from one k-by-k eigensolve.
+    """Eigentriples of ``A = P Q^T`` from one k-by-k eigensolve, in real modal form.
 
     Solves ``K W = W Lambda`` for the operator's ``propagator`` ``K = Q^T P``
     and keeps the eigenvalues above ``ZERO_EIG_TOL`` times the dominant
-    modulus.  Sets ``zeta = P W`` and ``xi = Q W^{-T} Lambda^{-1}`` on the
-    kept pairs, so ``xi^T zeta = I`` by construction, also inside a repeated
-    eigenspace.  The left rows always come from the kept invariant subspace
-    alone (``_kept_left_rows``), so a defective zero block among the dropped
+    modulus.  ``zeta = P W`` and ``xi = Q (Lambda^{-1} W^{-1})^T`` on the kept
+    pairs, each one real GEMM of the real form of W (a pair's columns
+    ``Re w, Im w``) or of the rows y of ``Lambda^{-1} W^{-1}`` (a pair's rows
+    ``Re(y + y')`` and ``Re(i (y - y'))``, y' the partner row), so
+    ``L^T R = I`` by construction, also inside a repeated eigenspace.  The
+    left rows always come from the kept invariant subspace alone
+    (``_kept_left_rows``), so a defective zero block among the dropped
     eigenvalues is never inverted.  A near-defective kept eigenbasis triggers
     a ``DiagonalisabilityWarning`` and a flag but still returns the model; a
     numerically singular one raises ``PairingFailure``.
     """
-    z = np.zeros((op.n, 0), dtype=complex)
+    z = np.zeros((op.n, 0))
     empty = SpectralModel(eigvals=np.zeros(0, dtype=complex), right_vecs=z, left_vecs=z.copy())
     if op.r == 0:
         return empty
@@ -193,16 +229,18 @@ def build_spectral_model(op: FactoredOperator) -> SpectralModel:
     if not worst <= 1e12:
         raise PairingFailure(f"eigenvector basis numerically singular: max 1/|y^T w| = {worst:.3e}")
 
-    zeta = audit.mm(op.P, W_kept)
-    xi = audit.mm(op.Q, W_inv.T) / lam[None, :]
-    # A real eigenvalue has a real left vector; the complex inverse leaves roundoff in its imaginary part.
-    xi[:, lam.imag == 0] = xi[:, lam.imag == 0].real
-    return SpectralModel(eigvals=lam, right_vecs=zeta, left_vecs=xi, flags=flags)
+    lead = _conjugate_pairs(lam)
+    Y = W_inv / lam[:, None]
+    W_real, Y_real = W_kept.real.copy(), Y.real.copy()
+    W_real[:, lead + 1] = W_kept.imag[:, lead]
+    # Both rows of a pair are read: that drops the roundoff by which they are not exact conjugates.
+    Y_real[lead], Y_real[lead + 1] = Y[lead].real + Y[lead + 1].real, Y[lead + 1].imag - Y[lead].imag
+    return SpectralModel(lam, audit.mm(op.P, W_real), audit.mm(op.Q, Y_real.T), flags)
 
 
 def _checked(theta: np.ndarray, n: int, T: int) -> tuple[np.ndarray, np.ndarray]:
     """The initial condition as floats, and the uninitialised (T, n) output of a simulation from it."""
-    theta = np.asarray(theta, dtype=float)
+    theta = _require_real(theta, "initial condition")
     if T < 1:
         raise InvalidInput(f"T must be >= 1, got {T}")
     if theta.shape != (n,):
@@ -215,14 +253,13 @@ def _checked(theta: np.ndarray, n: int, T: int) -> tuple[np.ndarray, np.ndarray]
 
 def _latent_path(z: np.ndarray, step, count: int) -> np.ndarray:
     """Rows ``z, step(z), step(step(z)), ...``: the first ``count`` latent states."""
-    path = np.empty((count, z.size), dtype=z.dtype)
+    path = np.empty((count, z.size))
     path[:1] = z
     for t in range(1, count):
         path[t] = step(path[t - 1])
     # A decaying path passes through the subnormal range, where the few rows holding subnormal
     # entries made a whole lift up to 1.7x slower; zeroing them changes no entry by 2.3e-308 or more.
-    parts = path.view(float)
-    parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
+    path[np.abs(path) < np.finfo(float).tiny] = 0.0
     return path
 
 
@@ -249,12 +286,12 @@ def _lift(basis: np.ndarray, path: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _simulate_factors(encoder: np.ndarray, S: np.ndarray, decoder: np.ndarray, theta, T: int) -> Trajectory:
-    """``x_1 = theta`` and ``x_t = decoder S^{t-2} encoder^T theta`` for t >= 2."""
+def _simulate_factors(encoder: np.ndarray, S: np.ndarray, decoder: np.ndarray, theta, T: int, lead: int = 0):
+    """``x_1 = theta`` and ``x_t = decoder S^{t-2+lead} encoder^T theta`` for t >= 2, as a ``Trajectory``."""
     theta, out = _checked(theta, decoder.shape[0], T)
     out[0] = theta
-    path = _latent_path(audit.mm(encoder.T, theta), lambda z: audit.mm(S, z), T - 1)
-    return Trajectory(states=_lift(decoder, path, out))
+    path = _latent_path(audit.mm(encoder.T, theta), lambda z: audit.mm(S, z), T - 1 + lead)
+    return Trajectory(states=_lift(decoder, path[lead:], out))
 
 
 def simulate_reduced(model: ReducedModel, theta: np.ndarray, T: int) -> Trajectory:
@@ -262,60 +299,9 @@ def simulate_reduced(model: ReducedModel, theta: np.ndarray, T: int) -> Trajecto
     return _simulate_factors(model.L, model.S, model.R, theta, T)
 
 
-def _conjugate_groups(lam: np.ndarray, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Modes with a real vector, and the other modes i each with their partner j (``r`` when there is none).
-
-    j partners i when ``lam_j == conj(lam_i)`` and ``zeta_j == conj(zeta_i)`` exactly.
-    """
-    r = lam.size
-    real = ~np.any(zeta.imag, axis=0)
-    taken = real.copy()
-    first, partner = [], []
-    for i in range(r):
-        if taken[i]:
-            continue
-        taken[i] = True
-        candidates = np.flatnonzero(~taken & (lam == np.conj(lam[i])))
-        j = next((j for j in candidates if np.array_equal(zeta[:, j], np.conj(zeta[:, i]))), r)
-        if j < r:
-            taken[j] = True
-        first.append(i)
-        partner.append(j)
-    return np.flatnonzero(real), np.array(first, dtype=int), np.array(partner, dtype=int)
-
-
 def simulate_spectral(model: SpectralModel, theta: np.ndarray, T: int) -> Trajectory:
-    """Run the diagonal recursion ``x_t = sum_i zeta_i lambda_i^{t-1} xi_i^T theta``.
-
-    O(rn) per step.  The output is ``Re(sum_i zeta_i c_i)`` for every model;
-    the imaginary residue is measured, reported on the trajectory and
-    discarded.  At t = 1 the formula returns theta projected onto the model's
-    invariant subspace, not theta itself.
-    """
-    theta, out = _checked(theta, model.n, T)
-    # c_t = lambda^{t-1} * nu by repeated products: a complex power adds imaginary roundoff.
-    coeff = _latent_path(audit.mm(model.left_vecs.T, theta), lambda c: audit.scale(c, model.eigvals), T)
-    zeta = model.right_vecs
-    real, first, partner = _conjugate_groups(model.eigvals, zeta)
-    # Real basis [Re zeta_real, Re zeta_first, Im zeta_first]; a missing partner reads as a zero coefficient.
-    # For zeta_j = conj(zeta_i): Re(zeta_i c_i + zeta_j c_j) = Re zeta_i (Re c_i + Re c_j) + Im zeta_i (Im c_j - Im c_i)
-    # and Im(zeta_i c_i + zeta_j c_j) = Re zeta_i (Im c_i + Im c_j) + Im zeta_i (Re c_i - Re c_j).
-    re, im = (np.pad(part, ((0, 0), (0, 1))) for part in (coeff.real, coeff.imag))
-    out_coeff = np.hstack([re[:, real], re[:, first] + re[:, partner], im[:, partner] - im[:, first]])
-    imag_coeff = np.hstack([im[:, real], im[:, first] + im[:, partner], re[:, first] - re[:, partner]])
-    basis = np.hstack([zeta.real[:, real], zeta.real[:, first], zeta.imag[:, first]])
-    _lift(basis, out_coeff, out)
-    # ||basis v|| = ||R v|| for the triangular factor of the basis: the residue costs O(r^2) per step.
-    R = np.linalg.qr(basis, mode="r")
-    re_part, im_part = audit.mm(out_coeff, R.T), audit.mm(imag_coeff, R.T)
-    # The residue is a ratio, so each row is first scaled by its largest entry: the norm of a state
-    # above about 1e154 would overflow.
-    top = np.maximum(np.max(np.abs(re_part), axis=1, initial=0.0), np.max(np.abs(im_part), axis=1, initial=0.0))
-    live = top > 0
-    re_norm = np.linalg.norm(re_part[live] / top[live, None], axis=1)
-    im_norm = np.linalg.norm(im_part[live] / top[live, None], axis=1)
-    residue = float(np.max(im_norm / np.hypot(re_norm, im_norm), initial=0.0))
-    return Trajectory(states=out, max_imag_residue=residue)
+    """Run ``x_t = R B^{t-1} L^T theta = Re sum_i zeta_i lambda_i^{t-1} xi_i^T theta`` for T steps; ``x_1 = theta``."""
+    return _simulate_factors(model.left_vecs, modal_block(model.eigvals), model.right_vecs, theta, T, lead=1)
 
 
 def simulate_operator(op: FactoredOperator, theta: np.ndarray, T: int) -> Trajectory:

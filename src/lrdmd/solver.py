@@ -45,6 +45,7 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     ThinSVD,
     _require_matrix,
+    _require_real,
     numerical_rank,
     thin_svd,
 )
@@ -202,7 +203,7 @@ class FactoredOperator:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``A x`` at O(rn) cost."""
-        x = np.asarray(x, dtype=float)
+        x = _require_real(x, "vector")
         if x.shape != (self.n,):
             raise InvalidInput(f"vector of length {self.n} expected, got shape {x.shape}")
         return audit.mm(self.P, audit.mm(self.Q.T, x))

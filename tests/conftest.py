@@ -20,18 +20,15 @@ def dense(op: lrdmd.FactoredOperator) -> np.ndarray:
 
 
 def loop_spectral(model, theta, T):
-    """Step-by-step reference: x_t = Re(zeta c_t), c_t = lambda^{t-1} xi^T theta; also the imaginary residue."""
+    """Step-by-step reference: x_1 = theta, x_t = Re(zeta c_t) for t >= 2, c_t = lambda^{t-1} xi^T theta."""
+    zeta, xi = model.complex_modes()
     out = np.empty((T, model.n))
-    coeff = model.left_vecs.T @ theta.astype(complex)
-    residue = 0.0
-    for t in range(T):
-        x = model.right_vecs @ coeff
-        nrm = np.linalg.norm(x)
-        if nrm > 0:
-            residue = max(residue, np.linalg.norm(x.imag) / nrm)
-        out[t] = x.real
+    out[0] = theta
+    coeff = xi.T @ theta.astype(complex)
+    for t in range(1, T):
         coeff = coeff * model.eigvals
-    return out, residue
+        out[t] = (zeta @ coeff).real
+    return out
 
 
 def row_space_projector(svd_of_X: lrdmd.ThinSVD) -> np.ndarray:

@@ -30,8 +30,9 @@ from conftest import rel_close
 def _loop_spectral_truth(base, N: int, T: int, seed: int) -> SnapshotPair:
     """Oracle: the spectral ground truth stepped state by state, ``x_t = Re(zeta Lambda xi^T x_{t-1})``."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    col_scale = np.linalg.norm(base.right_vecs, axis=0)
-    z_re, z_im = base.right_vecs.real / col_scale, base.right_vecs.imag / col_scale
+    zeta, xi = base.complex_modes()
+    col_scale = np.linalg.norm(zeta, axis=0)
+    z_re, z_im = zeta.real / col_scale, zeta.imag / col_scale
     trajectories = []
     for _ in range(N):
         theta = z_re @ rng.standard_normal(3) + z_im @ rng.standard_normal(3)
@@ -39,8 +40,8 @@ def _loop_spectral_truth(base, N: int, T: int, seed: int) -> SnapshotPair:
         states = np.empty((T, base.n))
         states[0] = theta
         for t in range(1, T):
-            coeff = base.eigvals * (base.left_vecs.T @ states[t - 1].astype(complex))
-            states[t] = (base.right_vecs @ coeff).real
+            coeff = base.eigvals * (xi.T @ states[t - 1].astype(complex))
+            states[t] = (zeta @ coeff).real
         trajectories.append(states)
     return SnapshotPair.from_trajectories(trajectories)
 

@@ -241,6 +241,17 @@ class TestEigNonsymmetric:
             else:
                 i += 1
 
+    def test_repeated_pairs_stay_adjacent(self):
+        # LAPACK returns these pairs bit for bit repeated; each stays next to its own conjugate.
+        rot = np.array([[0.6, -0.7], [0.7, 0.6]])
+        V = np.random.default_rng(15).standard_normal((4, 4))
+        for M in (np.kron(np.eye(3), rot), V @ np.kron(np.eye(2), rot) @ np.linalg.inv(V)):
+            es = eig_nonsymmetric(M)
+            lead = np.arange(0, len(M), 2)
+            assert np.all(es.values[lead].imag > 0)
+            np.testing.assert_array_equal(es.values[lead + 1], np.conj(es.values[lead]))
+            np.testing.assert_array_equal(es.vectors[:, lead + 1], np.conj(es.vectors[:, lead]))
+
     def test_phase_convention(self):
         rng = np.random.default_rng(14)
         for _ in range(20):

@@ -2,17 +2,14 @@
 
 Each example draws a shape, ranks for X and Y (rank-deficient included) and
 a seed; the matrices themselves come from numpy's generator on that seed.
-The real spectral lift is checked the same way on drawn spectral models.
+The real modal form of a spectral model is checked the same way on drawn models.
 """
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lrdmd
-
-from lrdmd.reduced import _conjugate_groups
 
 from conftest import loop_spectral, projected_dmd_dense
 
@@ -152,59 +149,39 @@ def test_sweep_cells_are_each_operators_direct_residual(data):
 
 @st.composite
 def spectral_models(draw):
-    """A spectral model of real modes, exactly conjugate pairs and lone complex modes, in shuffled order.
+    """A conjugate-closed spectral model in canonical order, with ``L^T R = I``.
 
-    Returns the model and the width of its real lift.  With ``perturb`` the
-    partner vector of the first pair is moved by one ulp, so that pair no
-    longer shares two columns; with ``closed_xi`` the left vectors are
-    conjugate-closed too, and the states are real up to roundoff.
+    Real modes and conjugate pairs (``b > 0`` first) are listed by
+    descending |lambda|; R is random and L its biorthogonal partner.
     """
-    n_real, n_pairs, n_lone = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 2))
-    perturb, closed_xi = draw(st.booleans()) and n_pairs > 0, draw(st.booleans())
-    r = n_real + 2 * n_pairs + n_lone
-    n = 2 * r + 1 + draw(st.integers(0, 12))
+    n_real, n_pairs = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    r = n_real + 2 * n_pairs
+    n = r + 1 + draw(st.integers(0, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-    def cvec():
-        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-    def cval():
-        return rng.uniform(0.5, 1.0) * np.exp(1j * rng.uniform(0.1, 3.0))
-
-    lam, zeta, xi = [], [], []
-    for _ in range(n_real):
-        lam.append(rng.uniform(-1.0, 1.0) + 0j)
-        zeta.append(rng.standard_normal(n) + 0j)
-        xi.append(cvec() if not closed_xi else rng.standard_normal(n) + 0j)
+    modes = [[complex(rng.uniform(-1.0, 1.0))] for _ in range(n_real)]
     for _ in range(n_pairs):
-        mu, z, w = cval(), cvec(), cvec()
-        lam += [mu, np.conj(mu)]
-        zeta += [z, np.conj(z)]
-        xi += [w, np.conj(w) if closed_xi else cvec()]
-    for _ in range(n_lone):
-        lam.append(cval())
-        zeta.append(cvec())
-        xi.append(cvec())
-    if perturb:
-        partner = zeta[n_real + 1]
-        partner[0] = np.nextafter(partner[0].real, np.inf) + 1j * partner[0].imag
-    order = rng.permutation(r)
-    model = lrdmd.SpectralModel(
-        eigvals=np.array(lam, dtype=complex)[order],
-        right_vecs=np.array(zeta, dtype=complex).reshape(r, n).T[:, order],
-        left_vecs=np.array(xi, dtype=complex).reshape(r, n).T[:, order],
-    )
-    return model, n_real + 2 * (n_pairs + n_lone) + (2 if perturb else 0)
+        mu = rng.uniform(0.5, 1.0) * np.exp(1j * rng.uniform(0.1, 3.0))
+        modes.append([mu, np.conj(mu)])
+    modes.sort(key=lambda mode: -abs(mode[0]))
+    R, M = rng.standard_normal((n, r)), rng.standard_normal((n, r))
+    L = M @ np.linalg.inv(M.T @ R).T
+    return lrdmd.SpectralModel(eigvals=np.array(sum(modes, []), dtype=complex).reshape(r), right_vecs=R, left_vecs=L)
 
 
 @PROPERTY_SETTINGS
 @given(spectral_models(), st.integers(1, 25), st.integers(0, 2**32 - 1))
-def test_real_spectral_lift_matches_the_complex_loop(drawn, T, seed):
-    model, width = drawn
-    real, first, _ = _conjugate_groups(model.eigvals, model.right_vecs)
-    assert real.size + 2 * first.size == width
+def test_real_spectral_lift_matches_the_complex_loop(model, T, seed):
     theta = np.random.default_rng(seed).standard_normal(model.n)
     traj = lrdmd.simulate_spectral(model, theta, T)
-    ref, ref_residue = loop_spectral(model, theta, T)
-    assert np.max(np.abs(traj.states - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
-    assert traj.max_imag_residue == pytest.approx(ref_residue, rel=1e-9, abs=1e-12)
+    ref = loop_spectral(model, theta, T)
+    np.testing.assert_array_equal(traj.states[0], theta)
+    assert np.max(np.abs(traj.states[1:] - ref[1:]), initial=0.0) <= 1e-12 * np.max(np.abs(ref[1:]), initial=0.0)
+    # The modal form of A = sum_i zeta_i lambda_i xi_i^T: A R = R B, L^T A = B L^T and L^T R = I.
+    zeta, xi = model.complex_modes()
+    A = (zeta * model.eigvals) @ xi.T
+    R, L, B = model.right_vecs, model.left_vecs, lrdmd.modal_block(model.eigvals)
+    scale = np.linalg.norm(R) * np.linalg.norm(L)
+    assert np.max(np.abs(A.imag), initial=0.0) <= 1e-12 * scale
+    assert np.max(np.abs(L.T @ R - np.eye(model.r)), initial=0.0) <= 1e-12 * scale
+    assert np.max(np.abs(A.real @ R - R @ B), initial=0.0) <= 1e-12 * scale * np.linalg.norm(R)
+    assert np.max(np.abs(L.T @ A.real - B @ L.T), initial=0.0) <= 1e-12 * scale * np.linalg.norm(L)

@@ -32,8 +32,10 @@ TWO_PI = 2 * np.pi
         (lambda: rb.cell_mesh((8, 3)), "grid too small: \\(8, 3\\)"),
         (lambda: split_state(np.ones(31), (4, 4)), "state of length 32 expected, got shape \\(31,\\)"),
         (lambda: split_state(np.ones((2, 16)), (4, 4)), "state of length 32 expected"),
+        # complex initial fields are rejected, not cut to their real part
+        (lambda: rb._as_batch((2, 2), np.ones((2, 2)) + 1j), "initial fields must be real, got complex entries"),
     ],
-    ids=["grid-rows", "grid-columns", "state-length", "state-matrix"],
+    ids=["grid-rows", "grid-columns", "state-length", "state-matrix", "fields-complex"],
 )
 def test_input_checks(call, message):
     with pytest.raises(InvalidInput, match=message):

@@ -26,7 +26,7 @@ from lrdmd import (
 from lrdmd import audit
 from lrdmd.linalg import eig_nonsymmetric
 from lrdmd import reduced
-from lrdmd.reduced import CERTIFIED_BOUND, ZERO_EIG_TOL, _conjugate_groups, _kept_left_rows
+from lrdmd.reduced import CERTIFIED_BOUND, ZERO_EIG_TOL, _kept_left_rows
 
 from conftest import dense, loop_spectral, match_multisets
 
@@ -75,9 +75,7 @@ def _scaled_models(g, P_hat):
     c = 1e160
     Q = (g / c) * np.linalg.inv(P_hat).T
     P = c * P_hat
-    spectral = SpectralModel(
-        eigvals=np.full(2, g, dtype=complex), right_vecs=P.astype(complex), left_vecs=(Q / g).astype(complex)
-    )
+    spectral = SpectralModel(eigvals=np.full(2, g, dtype=complex), right_vecs=P, left_vecs=Q / g)
     return {
         simulate_operator: FactoredOperator(P=P, Q=Q),
         simulate_reduced: ReducedModel(L=Q, R=P, S=g * np.eye(2)),
@@ -278,7 +276,7 @@ class TestSpectralModel:
             model = build_spectral_model(op)
             a_norm = op.fro_norm()
             Pc, Qc = op.P.astype(complex), op.Q.astype(complex)
-            for lam, zeta, xi in zip(model.eigvals, model.right_vecs.T, model.left_vecs.T):
+            for lam, zeta, xi in zip(model.eigvals, *(v.T for v in model.complex_modes())):
                 # right/left residuals via factors
                 assert np.linalg.norm(Pc @ (Qc.T @ zeta) - lam * zeta) <= 1e-8 * a_norm
                 assert np.linalg.norm(Qc @ (Pc.T @ xi) - lam * xi) <= 1e-8 * a_norm
@@ -305,13 +303,12 @@ class TestSpectralModel:
         op, _, _ = _random_optimal(8, n=30, m=12, k=6)
         model = build_spectral_model(op)
         lam = model.eigvals
+        zeta, _ = model.complex_modes()
         i = 0
         while i < lam.size:
             if abs(lam[i].imag) > 1e-10 * abs(lam[i]):
                 assert abs(lam[i + 1] - np.conj(lam[i])) <= 1e-9 * abs(lam[i])
-                np.testing.assert_allclose(
-                    model.right_vecs[:, i + 1], np.conj(model.right_vecs[:, i]), atol=1e-9
-                )
+                np.testing.assert_allclose(zeta[:, i + 1], np.conj(zeta[:, i]), atol=1e-9)
                 i += 2
             else:
                 i += 1
@@ -334,16 +331,15 @@ class TestSpectralModel:
         # biorthogonalise xi against zeta
         xi = xi_raw @ np.linalg.inv(xi_raw.T @ zeta).T
         lam = np.array([0.9, 0.5, -0.3])
-        base = lrdmd.SpectralModel(
-            eigvals=lam.astype(complex), right_vecs=zeta.astype(complex), left_vecs=xi.astype(complex)
-        )
+        base = lrdmd.SpectralModel(eigvals=lam.astype(complex), right_vecs=zeta, left_vecs=xi)
         data = lrdmd.gen_spectral_truth(base, N=4, T=9, seed=10)
         op = optimal_lowrank(data, 3)
         model = build_spectral_model(op)
         match_multisets(model.eigvals, lam.astype(complex), tol=1e-7)
+        zeta_hat, _ = model.complex_modes()
         for lam_i, z_i in zip(lam, zeta.T):
             j = int(np.argmin(np.abs(model.eigvals - lam_i)))
-            z_hat = model.right_vecs[:, j]
+            z_hat = zeta_hat[:, j]
             cos = abs(np.vdot(z_hat, z_i)) / (np.linalg.norm(z_hat) * np.linalg.norm(z_i))
             assert np.arccos(min(cos, 1.0)) <= 1e-6
 
@@ -443,6 +439,18 @@ class TestSpectralModel:
             assert np.max(np.abs(a[1:] - b[1:])) <= 1e-10 * scale
 
 
+def test_repeated_conjugate_pair_builds_and_matches_factored():
+    # Q^T P = diag(rot, rot) repeats a + ib bit for bit; the modal form keeps each pair together.
+    rot = np.array([[0.6, -0.7], [0.7, 0.6]])
+    P = np.eye(20)[:, :4]
+    op = FactoredOperator(P=P, Q=P @ np.kron(np.eye(2), rot).T)
+    model = build_spectral_model(op)
+    assert model.r == 4 and model.eigvals[0] == model.eigvals[2]
+    theta = np.random.default_rng(6).standard_normal(20)
+    a, b = simulate_operator(op, theta, 12).states, simulate_spectral(model, theta, 12).states
+    assert np.max(np.abs(a - b)) <= 1e-12 * np.abs(a).max()
+
+
 class TestWholeHorizon:
     """The latent path plus one-GEMM lift against the step-by-step loops, across the subnormal range."""
 
@@ -471,21 +479,8 @@ class TestWholeHorizon:
             assert np.sum(np.abs(model.eigvals.imag) > 0) == 4
             theta = rng.standard_normal(op.n)
             traj = simulate_spectral(model, theta, self.T)
-            ref, ref_residue = loop_spectral(model, theta, self.T)
+            ref = loop_spectral(model, theta, self.T)
             assert np.max(np.abs(traj.states - ref)) <= 1e-12 * np.abs(ref).max()
-            assert traj.max_imag_residue <= 1e-8 and ref_residue <= 1e-8
-
-    def test_residue_measures_imaginary_part(self):
-        # a lone complex mode has no conjugate partner: Im x_t is as large as Re x_t
-        op, rng = _decaying_operator(2)
-        model = build_spectral_model(op)
-        lone = lrdmd.SpectralModel(model.eigvals[:1], model.right_vecs[:, :1], model.left_vecs[:, :1])
-        theta = rng.standard_normal(op.n)
-        traj = simulate_spectral(lone, theta, 40)
-        ref, ref_residue = loop_spectral(lone, theta, 40)
-        assert traj.max_imag_residue > 0.1
-        assert traj.max_imag_residue == pytest.approx(ref_residue, rel=1e-10)
-        assert np.max(np.abs(traj.states - ref)) <= 1e-12 * np.abs(ref).max()
 
     def test_peak_memory_is_the_trajectory(self):
         # one lift GEMM writes into the output: the peak is the output plus O(nr) factors
@@ -503,7 +498,7 @@ class TestWholeHorizon:
 
     def test_tally_counts_the_lift_and_records_no_trajectory(self):
         # The lift writes into the trajectory, so the largest array a tally records is r-space; its
-        # multiply-adds are still counted: (T - 1) r n for the factor simulators and T r n for the spectral one.
+        # multiply-adds are still counted, (T - 1) r n.  The spectral path starts one step ahead, at B L^T theta.
         op, rng = _decaying_operator(4, n=4000)
         n, r, T = op.n, op.r, self.T
         theta = rng.standard_normal(n)
@@ -515,7 +510,7 @@ class TestWholeHorizon:
             (simulate_operator, op, factors),
             (simulate_operator, FactoredOperator(P=op.P, Q=op.Q), factors + n * r * r),
             (simulate_reduced, build_svd_reduced_model(op), factors),
-            (simulate_spectral, spectral, 2 * r * n + 4 * r * (T - 1) + T * (r * n + r + 2 * r * r)),
+            (simulate_spectral, spectral, factors + r * r),
         ]
         for simulate, model, madds in cases:
             with audit.tally() as t:
@@ -528,11 +523,7 @@ class TestSimulateSpectral:
     def test_constant_unit_mode(self):
         e1 = np.zeros(4)
         e1[0] = 1.0
-        model = lrdmd.SpectralModel(
-            eigvals=np.array([1.0 + 0j]),
-            right_vecs=e1.reshape(-1, 1).astype(complex),
-            left_vecs=e1.reshape(-1, 1).astype(complex),
-        )
+        model = lrdmd.SpectralModel(eigvals=np.array([1.0 + 0j]), right_vecs=e1.reshape(-1, 1), left_vecs=e1.reshape(-1, 1))
         traj = simulate_spectral(model, e1, 6)
         for t in range(6):
             np.testing.assert_allclose(traj.states[t], e1, atol=1e-14)
@@ -541,7 +532,7 @@ class TestSimulateSpectral:
         op, _, rng = _random_optimal(11)
         model = build_spectral_model(op)
         # the recursion sees theta only through xi_i^T theta (plain transpose),
-        # so any theta in the null space of [Re(L)^T; Im(L)^T] yields zero
+        # so any theta in the null space of [Re(L)^T; Im(L)^T] yields zero from t = 2 on
         L = model.left_vecs
         constraints = np.vstack([L.real.T, L.imag.T])
         _, s, Vt = np.linalg.svd(constraints)
@@ -549,7 +540,7 @@ class TestSimulateSpectral:
         theta_perp = null_basis @ rng.standard_normal(null_basis.shape[1])
         assert np.linalg.norm(L.T @ theta_perp.astype(complex)) <= 1e-10
         traj = simulate_spectral(model, theta_perp, 4)
-        assert np.max(np.abs(traj.states)) <= 1e-8 * max(1.0, np.linalg.norm(theta_perp))
+        assert np.max(np.abs(traj.states[1:])) <= 1e-8 * max(1.0, np.linalg.norm(theta_perp))
 
     def test_matches_reduced(self):
         for seed in (12, 13, 14):
@@ -563,28 +554,18 @@ class TestSimulateSpectral:
             assert np.max(np.abs(a[1:] - b[1:])) <= 1e-8 * scale
             assert b.shape == (11, 25)
 
-    def test_first_state_is_projection(self):
+    def test_first_state_is_theta(self):
         op, _, rng = _random_optimal(15)
         model = build_spectral_model(op)
         theta = rng.standard_normal(25)
         traj = simulate_spectral(model, theta, 3)
-        proj = (model.right_vecs @ (model.left_vecs.T @ theta.astype(complex))).real
-        np.testing.assert_allclose(traj.states[0], proj, atol=1e-10)
-
-    def test_real_output_with_conjugate_pairs(self):
-        op, _, rng = _random_optimal(16, n=30, m=12, k=6)
-        model = build_spectral_model(op)
-        assert np.max(np.abs(model.eigvals.imag)) > 0  # generic case has pairs
-        traj = simulate_spectral(model, rng.standard_normal(30), 11)
-        assert traj.max_imag_residue <= 1e-8
+        np.testing.assert_array_equal(traj.states[0], theta)
 
     def test_conjugate_closed_lift_is_r_columns(self):
         n = 300
         op, _, rng = _random_optimal(18, n=n, m=12, k=6)
         model = build_spectral_model(op)
         assert np.any(model.eigvals.imag != 0)
-        real, first, _ = _conjugate_groups(model.eigvals, model.right_vecs)
-        assert real.size + 2 * first.size == model.r
         theta = rng.standard_normal(n)
         madds = {}
         for T in (21, 41):
@@ -631,7 +612,6 @@ class TestFinitenessCertificate:
         assert np.all(np.isfinite(traj.states))
         np.testing.assert_allclose(traj.states[:, 1], theta[1], rtol=1e-12)
         assert np.max(np.abs(traj.states[:, 0])) <= 1e-12 * theta[1]
-        assert traj.max_imag_residue in (None, 0.0)
 
     @pytest.mark.parametrize("simulate", SIMULATORS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -658,8 +638,8 @@ class TestFinitenessCertificate:
         ):
             checked.clear()
             simulate(model, theta, 30)
-            # only theta, the caller's row, is read: the spectral model lifts its first row
-            assert checked == ([] if simulate is simulate_spectral else [0]), simulate.__name__
+            # only theta, the caller's row, is read
+            assert checked == [0], simulate.__name__
 
 
 def test_audit_counts_real_multiply_adds():
@@ -707,3 +687,4 @@ class TestRepresentationEquivalence:
             assert np.max(np.abs(b[1:] - c[1:])) <= 1e-8 * scale
             np.testing.assert_array_equal(a[0], theta)
             np.testing.assert_array_equal(b[0], theta)
+            np.testing.assert_array_equal(c[0], theta)

@@ -10,6 +10,7 @@ from lrdmd import (
     InvalidRank,
     ReducedModel,
     SnapshotPair,
+    SpectralModel,
     error_report,
     error_sweep,
     first_order_residual,
@@ -19,6 +20,7 @@ from lrdmd import (
     optimal_error_closed_form,
     optimal_lowrank,
     projected_dmd_baseline,
+    simulate_operator,
     truncated_baseline,
     unconstrained_solution,
 )
@@ -49,6 +51,11 @@ class TestSnapshotPair:
 
 
 _RANK1 = FactoredOperator(P=np.eye(3)[:, :1], Q=np.eye(3)[:, :1])
+_PAIRED = "each complex eigenvalue a \\+ ib \\(b > 0\\) directly before its conjugate"
+
+
+def _spectral(*lam, vecs=np.ones((4, 3))):
+    return SpectralModel(eigvals=np.array(lam, dtype=complex), right_vecs=vecs, left_vecs=np.ones((4, 3)))
 
 
 @pytest.mark.parametrize(
@@ -69,12 +76,22 @@ _RANK1 = FactoredOperator(P=np.eye(3)[:, :1], Q=np.eye(3)[:, :1])
         (lambda: FactoredOperator(P=np.ones((4, 2)) + 0j, Q=np.ones((4, 2))), "P and Q must be real"),
         (lambda: ReducedModel(L=np.ones((4, 2)), R=np.ones((4, 2)), S=np.eye(2) + 0j), "L, R and S must be real"),
         (lambda: FactoredOperator(P=np.ones((4, 2)), Q=np.ones((4, 2))).apply(np.ones(3)), "length 4 expected"),
+        # the real modal form of a spectral model: pairs adjacent, b > 0 first, real vectors
+        (lambda: _spectral(0.9 + 0.1j, 0.5, 0.4), _PAIRED),
+        (lambda: _spectral(0.9 - 0.1j, 0.9 + 0.1j, 0.4), _PAIRED),
+        (lambda: _spectral(0.9 + 0.1j, 0.4, 0.9 - 0.1j), _PAIRED),
+        (lambda: _spectral(0.9 + 0.1j, 0.9 - 0.1j, 0.4, vecs=np.ones((4, 3)) + 0j), "zeta and xi must be real"),
+        # complex input is rejected, not cut to its real part
+        (lambda: simulate_operator(_RANK1, np.ones(3) + 1j, 2), "initial condition must be real, got complex entries"),
+        (lambda: _RANK1.apply(np.ones(3) + 1j), "vector must be real, got complex entries"),
         # X Y^T P = 0: the residual is 0 when X X^T Q vanishes too, and infinite otherwise
         (lambda: first_order_residual(_RANK1, SnapshotPair(X=np.zeros((3, 2)), Y=np.ones((3, 2)))), 0.0),
         (lambda: first_order_residual(_RANK1, SnapshotPair(X=np.eye(3), Y=np.zeros((3, 3)))), np.inf),
     ],
     ids=["x-nan", "y-inf", "x-complex", "y-complex", "x-empty", "x-1d", "no-trajectories", "unequal-trajectories",
-         "one-snapshot", "p-q-shapes", "p-complex", "s-complex", "apply-length", "zero-lhs-zero-rhs", "zero-lhs"],
+         "one-snapshot", "p-q-shapes", "p-complex", "s-complex", "apply-length", "lone-complex-mode",
+         "pair-b-negative-first", "pair-not-adjacent", "spectral-vectors-complex", "theta-complex", "apply-complex",
+         "zero-lhs-zero-rhs", "zero-lhs"],
 )
 def test_input_checks(call, outcome):
     if isinstance(outcome, str):
