@@ -8,6 +8,7 @@ verification failure.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from pathlib import Path
 
@@ -304,6 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # The matrix encoder is compiled before a command allocates anything: compiled at its first
+    # write instead, its code sits among the memory that the command frees and keeps the heap
+    # from shrinking.
+    importlib.import_module("._floattext", __package__)
+
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

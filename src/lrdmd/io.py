@@ -2,9 +2,14 @@
 
 Matrices travel as plain CSV with a "rows,cols" header line followed by
 rows of 17-significant-digit decimals, which round-trips float64 exactly.
-Each row is written by one ``%`` format (CSV files are streamed row by row)
-and the whole body is read by one ``np.loadtxt``; only the row and column
-counts are checked line by line, and ``#`` is an invalid value, not a comment.
+Every value is written as exactly the bytes of ``format(v, ".17g")`` by one
+vectorised encoder, ``lrdmd._floattext``: 64-bit integer arithmetic gives the
+digits of a block of values at a time, and the rare value whose rounding that
+arithmetic cannot settle, and nan and inf, go through Python's own formatting.
+The encoder is imported on the first write.  CSV files are streamed a block
+at a time, and the whole body is read by one ``np.loadtxt``; only the row and
+column counts are checked line by line, and ``#`` is an invalid value, not a
+comment.
 Datasets are directories (manifest.json, X.csv, Y.csv), and the manifest's
 schema version and layout fields n, m, N, T are written here from the pair.
 Beside each dataset CSV the writer also saves the parsed matrix as
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -42,18 +48,38 @@ X_NAME = "X.csv"
 Y_NAME = "Y.csv"
 
 
-def _block_lines(M: np.ndarray):
-    """Lines of the CSV block of ``M``: the "rows,cols" header, then each row formatted by one ``%``."""
+# ---------------------------------------------------------------------------
+# Matrix text: each value as the bytes of format(v, ".17g")
+# ---------------------------------------------------------------------------
+
+# Values encoded at a time.  The encoder holds about 200 bytes per value while it works, and a
+# larger block left the heap of a CLI pass on 1024 x 50 datasets bigger: 2048 values raised
+# its peak RSS by about 0.35 MiB.
+_BLOCK = 1280
+
+
+def _encoded_blocks(M: np.ndarray) -> Iterator[bytes]:
+    """The CSV block of ``M`` in pieces: the "rows,cols" header, then at most ``_BLOCK`` values at a time."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     rows, cols = M.shape
-    row = ",".join(["%.17g"] * cols) + "\n"
-    yield f"{rows},{cols}\n"
-    for r in M:
-        yield row % tuple(r.tolist())
+    yield b"%d,%d\n" % (rows, cols)
+    if cols == 0:
+        yield b"\n" * rows
+        return
+    from ._floattext import encode
+
+    step = max(1, _BLOCK // cols)  # whole rows, or one row in pieces when it is longer than a block
+    for r in range(0, rows, step):
+        for c in range(0, cols, _BLOCK):
+            piece = M[r : r + step, c : c + _BLOCK]
+            last = np.zeros(piece.size, dtype=bool)
+            if c + piece.shape[1] == cols:
+                last[piece.shape[1] - 1 :: piece.shape[1]] = True
+            yield encode(piece.ravel(), last)
 
 
 def matrix_to_block(M: np.ndarray) -> str:
-    return "".join(_block_lines(M))
+    return b"".join(_encoded_blocks(M)).decode("ascii")
 
 
 def block_to_matrix(text: str) -> np.ndarray:
@@ -86,10 +112,11 @@ def block_to_matrix(text: str) -> np.ndarray:
 
 
 def write_matrix_csv(path: Path | str, M: np.ndarray) -> None:
-    # Streamed row by row: joining every row string of a 1024 x 50 matrix first raised the
-    # peak RSS of a CLI pass on such datasets by about 0.4 MiB.
-    with open(path, "w") as f:
-        f.writelines(_block_lines(M))
+    # The one writer of every matrix: each value the bytes of format(v, ".17g"), from the
+    # encoder's integer arithmetic or, for the few values it cannot round, from Python's own
+    # formatting.  Streamed a block at a time, so no text of the whole matrix is held.
+    with open(path, "wb") as f:
+        f.writelines(_encoded_blocks(M))
 
 
 def _parsed_copy(path: Path, digest: str) -> Path:
@@ -99,18 +126,25 @@ def _parsed_copy(path: Path, digest: str) -> Path:
 
 def _write_dataset_csv(path: Path, M: np.ndarray) -> None:
     """Write ``M`` as CSV, and beside it the matrix its text parses to, named by the text's hash."""
-    write_matrix_csv(path, M)
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+        for piece in _encoded_blocks(M):
+            digest.update(piece)
+            f.write(piece)
     for stale in path.parent.glob(f"{path.name}.*.npy"):
         stale.unlink()
     # C order, as block_to_matrix returns it: the same values in F order round differently in BLAS.
-    np.save(_parsed_copy(path, hashlib.sha256(path.read_bytes()).hexdigest()), np.ascontiguousarray(M, dtype=float))
+    np.save(_parsed_copy(path, digest.hexdigest()), np.ascontiguousarray(M, dtype=float))
 
 
 def read_matrix_csv(path: Path | str) -> np.ndarray:
     """The matrix of a CSV file; a copy saved by ``write_dataset`` under the CSV's hash stands in for parsing it."""
     path = Path(path)
-    raw = path.read_bytes()
-    copy = _parsed_copy(path, hashlib.sha256(raw).hexdigest())
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:  # hashed a piece at a time: the text is read whole only if it is parsed
+        for chunk in iter(lambda: f.read(1 << 16), b""):
+            digest.update(chunk)
+    copy = _parsed_copy(path, digest.hexdigest())
     try:
         M = np.load(copy, allow_pickle=False)
     except (OSError, ValueError, EOFError):
@@ -118,7 +152,7 @@ def read_matrix_csv(path: Path | str) -> np.ndarray:
     if isinstance(M, np.ndarray) and M.ndim == 2 and M.dtype == np.float64 and M.flags.c_contiguous:
         return M
     try:
-        return block_to_matrix(raw.decode())
+        return block_to_matrix(path.read_bytes().decode())
     except (UnicodeDecodeError, InvalidInput) as exc:
         raise InvalidInput(f"{path}: {exc}") from exc
 
@@ -191,16 +225,26 @@ def read_dataset(directory: Path | str) -> tuple[SnapshotPair, dict]:
 
 
 def _save_model(path: Path | str, kind: str, model, flags, provenance: dict, **arrays: np.ndarray) -> None:
-    """Write ``model``'s document, one text block per array."""
-    doc = {
+    """Write ``model``'s document, one text block per array.
+
+    The bytes are those of ``dump_json`` of the whole document, whose sorted keys put ``blocks``
+    first, but each block's text goes from the encoder into the file a piece at a time.
+    """
+    rest = dump_json({
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "dims": {"n": model.n, "r": model.r},
         "flags": list(flags),
         "provenance": provenance,
-        "blocks": {name: matrix_to_block(M) for name, M in arrays.items()},
-    }
-    Path(path).write_text(dump_json(doc))
+    })
+    with open(path, "wb") as f:
+        f.write(b'{\n  "blocks": {')
+        for i, name in enumerate(sorted(arrays)):
+            f.write(b'%s\n    %s: "' % (b"," if i else b"", json.dumps(name).encode()))
+            for piece in _encoded_blocks(arrays[name]):
+                f.write(piece.replace(b"\n", b"\\n"))  # the only character of the text that JSON escapes
+            f.write(b'"')
+        f.write(b"\n  },\n  " + rest.removeprefix("{\n  ").encode())
 
 
 def _eigvals(parts: np.ndarray) -> np.ndarray:

@@ -24,8 +24,10 @@ import numpy as np
 
 from .errors import EigFailure, InvalidInput
 
-#: Relative cutoff for every numerical rank decision in the package, relative
-#: to the largest singular value.  Matches double-precision SVD backward error.
+#: Relative cutoff for every numerical rank decision in the package, applied
+#: against three scales: sigma_1(X) for rank(X) (``numerical_rank`` of X's SVD),
+#: ||Y||_F for the fit ranks of C and of projected DMD's B, and sigma_1(M) for
+#: the truncated fit's r-by-r M.  Matches double-precision SVD backward error.
 DEFAULT_RANK_TOL = 1e-12
 
 

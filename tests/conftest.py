@@ -108,22 +108,38 @@ def match_multisets(a: np.ndarray, b: np.ndarray, tol: float) -> float:
 
 
 @pytest.fixture(scope="session")
-def toy_datasets():
-    return {s: lrdmd.gen_toy(lrdmd.ToyConfig(setting=s, seed=11)) for s in ("i", "ii", "iii")}
+def generated():
+    """``lrdmd.generate(name, seed)``, made once per session, for tests that only read the dataset.
+
+    Tests whose subject is generation itself call ``lrdmd.generate`` or the CLI directly.
+    """
+    made = {}
+
+    def get(name: str, seed: int):
+        if (name, seed) not in made:
+            made[name, seed] = lrdmd.generate(name, seed)
+        return made[name, seed]
+
+    return get
 
 
 @pytest.fixture(scope="session")
-def rb_datasets():
+def toy_datasets(generated):
+    return {s: generated(f"toy-{s}", 11)[0] for s in ("i", "ii", "iii")}
+
+
+@pytest.fixture(scope="session")
+def rb_datasets(generated):
     import time
 
     t0 = time.perf_counter()
-    data = {s: lrdmd.gen_physical(s, seed=5) for s in ("iv", "v", "vi")}
+    data = {s: generated(f"rb-{s}", 5)[0] for s in ("iv", "v", "vi")}
     data["gen_seconds"] = time.perf_counter() - t0
     return data
 
 
 @pytest.fixture(scope="session")
-def spectral_datasets():
-    base, clean = lrdmd.spectral_ground_truth(seed=5)
+def spectral_datasets(generated):
+    clean, _, base = generated("spectral-vii", 5)
     noisy = lrdmd.add_noise_psnr(clean, 20.0, seed=7)
     return {"base": base, "clean": clean, "noisy": noisy}

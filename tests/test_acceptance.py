@@ -268,12 +268,12 @@ def test_criterion_08_rb_linear_settings(rb_datasets):
     )
 
 
-def test_criterion_08_over_seeds():
+def test_criterion_08_over_seeds(generated):
     """Criterion 8's bounds at gen_physical seeds 0-9 for settings iv and v, not at seed 5 alone."""
     worst_err, least_ratio = {}, {}
     for setting, bound in (("iv", 1e-6), ("v", 1e-3)):
         for seed in range(10):
-            data = lrdmd.gen_physical(setting, seed=seed)
+            data = generated(f"rb-{setting}", seed)[0]
             ny = np.linalg.norm(data.Y)
             worst = max(lrdmd.optimal_lowrank(data, k).residual_fro(data) / ny for k in range(10, 51, 5))
             e_o10 = lrdmd.optimal_lowrank(data, 10).residual_fro(data) / ny
@@ -324,7 +324,7 @@ def test_criterion_09_noise_study(spectral_datasets):
     )
 
 
-def test_criterion_09_over_seeds():
+def test_criterion_09_over_seeds(generated):
     """At spectral-viii seeds 0-4 (k = 3), optimal beats truncation in error and in the worst-recovered eigenvalue.
 
     Each true eigenvalue is matched to its nearest fitted one.  Criterion 9's zeta_3-angle claim is not
@@ -340,7 +340,7 @@ def test_criterion_09_over_seeds():
 
     lines, ok = [], True
     for seed in range(5):
-        data, _, truth = lrdmd.generate("spectral-viii", seed)
+        data, _, truth = generated("spectral-viii", seed)
         ny = np.linalg.norm(data.Y)
         op_o, op_t = lrdmd.optimal_lowrank(data, 3), lrdmd.truncated_baseline(data, 3)
         e_o, e_t = op_o.residual_fro(data) / ny, op_t.residual_fro(data) / ny

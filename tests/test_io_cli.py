@@ -43,8 +43,23 @@ _EDGE = [-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1.7976931348623157e308, -1.797693
          0.1, 1 / 3, -2.5e-17, 123456789.0, np.inf, -np.inf]
 
 
+def _switch_and_edge_values():
+    """Every power of ten and its neighbours, subnormals, the ``g`` layout's switch points, zeros, inf and nan."""
+    tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    subnormal_bits = np.unique(np.concatenate([np.arange(1, 2049), 2 ** np.arange(53), (2 ** np.arange(1, 53)) - 1,
+                                               np.geomspace(1, 2**52, 4000).astype(np.int64)])).astype(np.uint64)
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17])
+    values = np.concatenate([
+        tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), subnormal_bits.view(np.float64),
+        switches, np.nextafter(switches, 0), np.nextafter(switches, np.inf), [0.0, np.inf, np.nan],
+    ])
+    return np.concatenate([values, -values])
+
+
 class TestMatrixCsv:
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 13), (13, 1), (13, 13), (40, 7), (3, 0)])
+    # (1000, 7) holds more values than the encoder's block and a row count that is not a multiple of
+    # the rows per block; (2, 4100) has rows longer than a block.
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 13), (13, 1), (13, 13), (40, 7), (3, 0), (1000, 7), (2, 4100)])
     def test_codec_matches_per_value_oracle(self, shape):
         rng = np.random.default_rng(shape[0] * 100 + shape[1])
         M = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
@@ -57,6 +72,17 @@ class TestMatrixCsv:
         back = lio.block_to_matrix(text)
         assert back.shape == M.shape and back.dtype == np.float64
         assert back.tobytes() == M.tobytes() == _oracle_matrix(text).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_any_bit_pattern_written_like_oracle(self, bits):
+        row = np.array(bits, dtype=np.uint64).view(np.float64).reshape(1, -1)
+        assert lio.matrix_to_block(row) == _oracle_block(row)
+        assert lio.matrix_to_block(row.T) == _oracle_block(row.T)
+
+    def test_powers_of_ten_subnormals_and_switch_points_written_like_oracle(self):
+        values = _switch_and_edge_values()
+        assert lio.matrix_to_block(values.reshape(-1, 2)) == _oracle_block(values.reshape(-1, 2))
 
     def test_vector_and_nan_written_like_oracle(self):
         v = np.array([np.nan, -0.0, 5e-324])
@@ -163,6 +189,18 @@ class TestModelRoundTrip:
         assert rm2.S.tobytes() == rm.S.tobytes()
         assert sm2.eigvals.tobytes() == sm.eigvals.tobytes()
         assert sm2.right_vecs.tobytes() == sm.right_vecs.tobytes()
+
+    def test_streamed_file_is_dump_json_of_the_document(self, tmp_path):
+        # A block longer than the encoder's block, negative zero, inf, nan and a provenance that needs escaping.
+        P = np.random.default_rng(0).standard_normal((700, 3))
+        P[:4, 0] = [-0.0, np.inf, -np.inf, np.nan]
+        op = lrdmd.FactoredOperator(P=P, Q=np.ones((700, 3)), flags=("rank_deficient_x",))
+        provenance = {"dataset": 'a "b"\né', "k": 3, "psnr_db": None}
+        lio.save_factored(tmp_path / "f.json", op, provenance)
+        doc = {"schema_version": lio.SCHEMA_VERSION, "kind": "factored", "dims": {"n": 700, "r": 3},
+               "flags": ["rank_deficient_x"], "provenance": provenance,
+               "blocks": {"Q": lio.matrix_to_block(op.Q), "P": _oracle_block(P)}}
+        assert (tmp_path / "f.json").read_text() == lio.dump_json(doc)
 
 
 class TestSvg:
@@ -651,6 +689,15 @@ class TestCliSpectralDatasets:
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize is imported only where it is used; loading it costs most of the CLI start-up.
     code = "import sys, lrdmd.cli; sys.exit('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(lrdmd.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_matrix_encoder_loads_on_the_first_write():
+    # A process that writes no matrix neither compiles the encoder nor builds its tables.
+    code = ("import sys, lrdmd.cli, lrdmd.io; assert 'lrdmd._floattext' not in sys.modules; "
+            "lrdmd.io.matrix_to_block([[1.5]]); from lrdmd._floattext import _tables; "
+            "sys.exit(_tables.cache_info().currsize != 1)")
     env = {**os.environ, "PYTHONPATH": str(Path(lrdmd.__file__).parents[1])}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 

@@ -476,9 +476,9 @@ class TestLowRankFitContract:
         np.testing.assert_array_equal(fit.q_basis, data.svd_x.U[:, :4])
         assert fit.q_mix.shape[0] == 4
 
-    def test_rb_iv_projected_past_its_rank(self):
+    def test_rb_iv_projected_past_its_rank(self, generated):
         # X of rb-iv (seed 1) has numerical rank 12 < m = 50, so projected DMD runs outside its assumption.
-        fit = fit_projected(lrdmd.gen_physical("iv", seed=1))
+        fit = fit_projected(generated("rb-iv", 1)[0])
         assert fit.operator(12).flags == ("rank_deficient_x",)
         for k in (13, 50):
             op = fit.operator(k)
@@ -524,9 +524,9 @@ class TestNonuniqueAtK:
         fit = lrdmd.SOLVERS[method](data)
         assert [fit.operator(k).flags for k in range(1, 5)] == [(), ("nonunique_at_k",), (), ()]
 
-    def test_rb_iv_truncated_tie(self):
+    def test_rb_iv_truncated_tie(self, generated):
         # sigma_9 and sigma_10 of D agree to 4.9e-12 of sigma_1 on rb-iv (seed 1).
-        fit = fit_truncated(lrdmd.gen_physical("iv", seed=1))
+        fit = fit_truncated(generated("rb-iv", 1)[0])
         assert [fit.operator(k).flags for k in (8, 9, 10)] == [(), ("nonunique_at_k",), ()]
 
 
