@@ -2,28 +2,21 @@
 
 A value's 17 significant digits D and decimal exponent E come from 64-bit integer arithmetic on
 its binary mantissa (``_scaled``); the rare value whose rounding that cannot settle, and nan and
-inf, go through Python's own formatting.  The arithmetic keeps to additions, multiplications,
-shifts, ``divmod`` and table lookups on integer arrays, and makes its comparisons on exact
-differences converted to float: integer comparisons, bitwise logic and floor division would each
-page in numpy code that nothing else in a CLI pass runs.
-
-``lrdmd.io`` imports this module on its first write, and ``lrdmd.cli.main`` before it runs a
-command, so a process that uses the library and writes no matrix does not compile it; the
-tables are built on the encoder's first use.
+inf, go through Python's own formatting.  ``lrdmd.io`` imports this module on its first write,
+and the tables are built on the encoder's first use, so a process that writes no matrix neither
+compiles the module nor builds them.
 """
 
 from __future__ import annotations
 
 import functools
-import mmap
 from typing import NamedTuple
 
 import numpy as np
 
 _E_MIN, _E_MAX = -325, 309  # decimal exponents the digit step may try: those of float64, one wider each way
-_U32, _ONE = np.uint64(32), np.uint64(1)
+_U32 = np.uint64(32)
 _ZERO_ROW = 23 * 18  # the layout row of +-0
-_SQUEEZE = 512  # values squeezed at a time: np.compress holds an index per kept byte
 
 
 class _Tables(NamedTuple):
@@ -76,9 +69,9 @@ def _tables() -> _Tables:
                     row[7 + 2 * point] = True
                 if layout >= 21:
                     row[40 : 44 + layout - 21] = True
-    return _mapped(_Tables(
-        p_hi=np.array([m >> 32 for m in mantissas]),
-        p_lo=np.array([m & 0xFFFFFFFF for m in mantissas]),
+    return _Tables(
+        p_hi=np.array([m >> 32 for m in mantissas], dtype=np.uint64),
+        p_lo=np.array([m & 0xFFFFFFFF for m in mantissas], dtype=np.uint64),
         pow2=np.array(pow2),
         exact=np.array([-11 <= e <= 16 for e in exponents]),
         suffix=np.frombuffer(b"".join(b"%-6s,\n" % (b"e%+03d" % e) for e in exponents), dtype=np.uint64),
@@ -89,26 +82,17 @@ def _tables() -> _Tables:
         zero_pair=np.array([i == 0 for i in range(100)]),
         trailing_zeros=np.array([2 - len((b"%02d" % i).rstrip(b"0")) for i in range(100)]),
         keep=keep.reshape(-1, 48),
-    ))
-
-
-def _mapped(tables: _Tables) -> _Tables:
-    """The same tables, copied into one anonymous memory map.
-
-    Built at the first write, tables on the malloc heap would sit among the memory that the
-    writes around them free, and keep the heap from shrinking.
-    """
-    starts = np.cumsum([0] + [-(-a.nbytes // 8) * 8 for a in tables])  # 8-byte aligned
-    buf = mmap.mmap(-1, int(starts[-1]))
-    views = [np.frombuffer(buf, a.dtype, a.size, int(start)).reshape(a.shape) for a, start in zip(tables, starts)]
-    for view, a in zip(views, tables):
-        view[...] = a
-        view.flags.writeable = False
-    return _Tables(*views)
+    )
 
 
 def _negative(d: np.ndarray) -> np.ndarray:
-    """Whether each exact int64 difference is below zero: its float keeps the sign and nonzero-ness."""
+    """Whether each int64 entry is below zero, read from its float, which keeps sign and zero.
+
+    numpy's integer comparison and bitwise loops, like its ``//`` by a scalar, sit in pages of its
+    code that nothing else in a CLI pass runs: after a pass, running them made 64-128 KiB more of
+    numpy resident each, and that memory is held through every later peak.  The encoder keeps
+    to loops that the rest of a pass has already read in.
+    """
     return d.astype(float) < 0.0
 
 
@@ -119,57 +103,44 @@ def _scaled(t: _Tables, M: np.ndarray, e2: np.ndarray, E: np.ndarray):
     M < 2^53 and the 64-bit power of ten give a 117-bit product, formed from four 32-bit partial
     products with no carry test: the low words are summed apart, where they cannot overflow.
     A fraction of more than 64 bits is cut to 64, which leaves D below 2^53, so below any 17-digit
-    value, and E is then corrected.
+    value, and E is then corrected.  Every operand is uint64: mixed with int64, numpy would
+    compute in float64.
     """
     i = E - _E_MIN
-    s = np.minimum(-(e2 + t.pow2[i]), 64)
-    m_hi = M >> 32
-    m_lo, m_hi = (M - (m_hi << 32)).view(np.uint64), m_hi.view(np.uint64)
-    p_hi, p_lo = t.p_hi[i].view(np.uint64), t.p_lo[i].view(np.uint64)
+    s = np.minimum(-(e2 + t.pow2[i]), 64).astype(np.uint64)
+    M = M.astype(np.uint64)
+    m_hi = M >> _U32
+    m_lo = M - (m_hi << _U32)
+    p_hi, p_lo = t.p_hi[i], t.p_lo[i]
     mid, mid2, low = m_lo * p_hi, m_hi * p_lo, m_lo * p_lo
     high = m_hi * p_hi
-    carry = low >> _U32
-    carry += (mid << _U32) >> _U32
-    carry += (mid2 << _U32) >> _U32
-    high += mid >> _U32
-    high += mid2 >> _U32
-    high += carry >> _U32
-    low += mid << _U32  # modulo 2^64
-    low += mid2 << _U32
-    rest = (64 - s).view(np.uint64)
-    below = (s - 1).view(np.uint64)
-    high <<= rest
-    high += (low >> below) >> _ONE
-    low <<= rest
-    low >>= rest
+    carry = (low >> _U32) + ((mid << _U32) >> _U32) + ((mid2 << _U32) >> _U32)
+    high += (mid >> _U32) + (mid2 >> _U32) + (carry >> _U32)
+    low += (mid << _U32) + (mid2 << _U32)  # modulo 2^64
+    rest = np.uint64(64) - s
+    below = s - np.uint64(1)
+    high = (high << rest) + ((low >> below) >> np.uint64(1))  # s = 64 shifts by 63 and then 1
+    low = (low << rest) >> rest
     # F - half lies in [-2^63, 2^63): its int64 wrap is exact.
-    return high.view(np.int64), low.view(np.int64) - (_ONE << below).view(np.int64), t.exact[i]
+    return high.view(np.int64), (low - (np.uint64(1) << below)).view(np.int64), t.exact[i]
 
 
-def encode(x: np.ndarray, last: np.ndarray) -> bytes:
-    """``x`` as ``format(v, ".17g")`` per value, each followed by "\\n" where ``last`` and "," elsewhere.
+def _digits(t: _Tables, x: np.ndarray):
+    """Each value's 17 significant digits D (first digit nonzero) and its exponent E less ``_E_MIN``,
+    and where Python's formatting must stand in.
 
     D is rounded half-even when the scaled product is exact, and otherwise only when the power of
-    ten's truncation, which moves the fraction by less than M, cannot change the rounding.  Each
-    value is then laid out in 48 fixed bytes, each byte one that the ``g`` layout may use there:
-
-        0 "-"   1-5 "0.000"   6-39 d0 "." d1 "." ... d16 "."   40-44 "e+XX" or "e-XXX"   46 ","   47 "\\n"
-
-    One row of kept bytes per value, by layout and kept digits, with its sign and separator, picks
-    the bytes that ``np.compress`` joins.
+    ten's truncation, which moves the fraction by less than M, cannot change the rounding.  Zeros,
+    nan and inf are given the digits of 1.
     """
-    t = _tables()
     a = np.abs(x)
-    zero = a == 0.0
     finite = np.isfinite(a)
-    a[zero | ~finite] = 1.0
+    a[(a == 0.0) | ~finite] = 1.0
     E = np.floor(np.log10(a)).astype(np.int64)
     bits = a.view(np.int64)
-    e2 = bits >> 52
-    normal = np.minimum(e2, 1)  # 0 for a subnormal
-    M = bits - ((e2 - normal) << 52)
-    e2 -= normal + 1074
-    del a, bits, normal
+    e2 = np.maximum(bits >> 52, 1)  # the biased exponent, 1 for a subnormal
+    M = bits - ((e2 - 1) << 52)  # the hidden bit kept
+    e2 -= 1075
     D, d, exact = _scaled(t, M, e2, E)
     below, above = _negative(D - 10**16), ~_negative(D - 10**17)
     off = np.flatnonzero(below | above)  # log10 put E one off
@@ -177,36 +148,29 @@ def encode(x: np.ndarray, last: np.ndarray) -> bytes:
         E[off] += np.where(above[off], 1, -1)
         D[off], d[off], exact[off] = _scaled(t, M[off], e2[off], E[off])
         below[off], above[off] = _negative(D[off] - 10**16), ~_negative(D[off] - 10**17)
-    del e2
-    d = d.astype(float)
-    up = (d > 0.0) | (exact & (d == 0.0) & (D % 2).astype(bool))
-    sure = up | exact | (d + M.astype(float) < 0.0)
-    del d, M
+    sign = d.astype(float)  # keeps the sign and zero of F - half, like _negative
+    up = (sign > 0.0) | (exact & (sign == 0.0) & (D % 2).astype(bool))
+    sure = up | exact | _negative(d + M)  # d + M wraps only where d > 0, which rounds up
     fallback = np.flatnonzero(~sure | below | above | ~finite)
     D += up
-    carry = np.flatnonzero((D - 10**17).astype(float) == 0.0)
+    carry = ~_negative(D - 10**17)
     D[carry] = 10**16
     E[carry] += 1
     D[fallback] = 10**16
-    E -= _E_MIN
+    return D, E - _E_MIN, fallback
 
-    n = x.size
+
+def _laid_out(t: _Tables, D: np.ndarray, E: np.ndarray):
+    """The 48 fixed bytes of each value (without its sign) and the row of ``t.keep`` that picks its text."""
+    n = D.size
     out = np.empty((n, 6), dtype=np.uint64)
     out[:, 5] = t.suffix[E]
-    halves = np.empty((n, 2), dtype=np.int64)  # digits 1-8 and 9-16
-    high, halves[:, 1] = np.divmod(D, 10**8)
-    first, halves[:, 0] = np.divmod(high, 10**8)
+    first, rest = np.divmod(D, 10**16)
     out[:, 0] = t.head[first]
-    del D, high, first
-    # Quotients by 10^4 and by 100 as a multiplication and a shift, exact below 10^8 and 10^4.
-    twos = np.empty((n, 8), dtype=np.int64)  # the 16 digits in pairs
-    quad = (halves * 109951163) >> 40  # digits 1-4 and 9-12
-    twos[:, 0::4] = (quad * 10486) >> 20
-    twos[:, 1::4] = quad - twos[:, 0::4] * 100
-    quad = halves - quad * 10**4  # digits 5-8 and 13-16
-    twos[:, 2::4] = (quad * 10486) >> 20
-    twos[:, 3::4] = quad - twos[:, 2::4] * 100
-    del halves, quad
+    halves, quads, twos = (np.empty((n, k), dtype=np.int64) for k in (2, 4, 8))  # digits 1-16 in 8, 4 and 2
+    np.divmod(rest, 10**8, out=(halves[:, 0], halves[:, 1]))
+    np.divmod(halves, 10**4, out=(quads[:, 0::2], quads[:, 1::2]))
+    np.divmod(quads, 100, out=(twos[:, 0::2], twos[:, 1::2]))
     out[:, 1:5] = t.pairs[twos.ravel()].view(np.uint64).reshape(n, 4)
     tz = t.trailing_zeros[twos[:, 7]]
     z = np.flatnonzero(t.zero_pair[twos[:, 7]])
@@ -216,18 +180,30 @@ def encode(x: np.ndarray, last: np.ndarray) -> bytes:
         two = twos[z, col]
         tz[z] += t.trailing_zeros[two]
         z = z[t.zero_pair[two]]
-    del twos
-    row = t.layout[E] + np.maximum(17 - tz, t.min_digits[E])
-    row[zero] = _ZERO_ROW
+    return out.view(np.uint8), t.layout[E] + np.maximum(17 - tz, t.min_digits[E])
+
+
+def encode(x: np.ndarray, last: np.ndarray) -> bytes:
+    """``x`` as ``format(v, ".17g")`` per value, each followed by "\\n" where ``last`` and "," elsewhere.
+
+    Each value is laid out in 48 fixed bytes, each byte one that the ``g`` layout may use there:
+
+        0 "-"   1-5 "0.000"   6-39 d0 "." d1 "." ... d16 "."   40-44 "e+XX" or "e-XXX"   46 ","   47 "\\n"
+
+    One row of kept bytes per value, by layout and kept digits, with its sign and separator, picks
+    the bytes that one ``np.compress`` joins.
+    """
+    t = _tables()
+    D, E, fallback = _digits(t, x)
+    text, row = _laid_out(t, D, E)
+    row[x == 0.0] = _ZERO_ROW
     keep = t.keep[row]
     keep[:, 0] = np.signbit(x)
     keep[:, 46] = ~last
     keep[:, 47] = last
-    text = out.view(np.uint8)
     for i in fallback.tolist():
         s = format(float(x[i]), ".17g").encode()
         keep[i, :46] = False
         keep[i, : len(s)] = True
         text[i, : len(s)] = np.frombuffer(s, dtype=np.uint8)
-    return b"".join([np.compress(keep[i : i + _SQUEEZE].ravel(), text[i : i + _SQUEEZE].ravel()).tobytes()
-                     for i in range(0, n, _SQUEEZE)])
+    return np.compress(keep.ravel(), text.ravel()).tobytes()

@@ -8,7 +8,6 @@ verification failure.
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 from pathlib import Path
 
@@ -305,11 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # The matrix encoder is compiled before a command allocates anything: compiled at its first
-    # write instead, its code sits among the memory that the command frees and keeps the heap
-    # from shrinking.
-    importlib.import_module("._floattext", __package__)
-
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

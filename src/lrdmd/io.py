@@ -52,9 +52,8 @@ Y_NAME = "Y.csv"
 # Matrix text: each value as the bytes of format(v, ".17g")
 # ---------------------------------------------------------------------------
 
-# Values encoded at a time.  The encoder holds about 200 bytes per value while it works, and a
-# larger block left the heap of a CLI pass on 1024 x 50 datasets bigger: 2048 values raised
-# its peak RSS by about 0.35 MiB.
+# Values encoded at a time.  The encoder holds about 300 bytes per value while it works, most of
+# it ``np.compress``'s index of the bytes it keeps, so a block is about 370 KiB of scratch.
 _BLOCK = 1280
 
 
@@ -140,11 +139,8 @@ def _write_dataset_csv(path: Path, M: np.ndarray) -> None:
 def read_matrix_csv(path: Path | str) -> np.ndarray:
     """The matrix of a CSV file; a copy saved by ``write_dataset`` under the CSV's hash stands in for parsing it."""
     path = Path(path)
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:  # hashed a piece at a time: the text is read whole only if it is parsed
-        for chunk in iter(lambda: f.read(1 << 16), b""):
-            digest.update(chunk)
-    copy = _parsed_copy(path, digest.hexdigest())
+    raw = path.read_bytes()
+    copy = _parsed_copy(path, hashlib.sha256(raw).hexdigest())
     try:
         M = np.load(copy, allow_pickle=False)
     except (OSError, ValueError, EOFError):
@@ -152,7 +148,7 @@ def read_matrix_csv(path: Path | str) -> np.ndarray:
     if isinstance(M, np.ndarray) and M.ndim == 2 and M.dtype == np.float64 and M.flags.c_contiguous:
         return M
     try:
-        return block_to_matrix(path.read_bytes().decode())
+        return block_to_matrix(raw.decode())
     except (UnicodeDecodeError, InvalidInput) as exc:
         raise InvalidInput(f"{path}: {exc}") from exc
 

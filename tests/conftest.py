@@ -6,6 +6,8 @@ guarded to small n, and so are the m-by-m row-space projector and
 ``Z = Y P_rows(X)``, which the solver never forms.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -111,15 +113,19 @@ def match_multisets(a: np.ndarray, b: np.ndarray, tol: float) -> float:
 def generated():
     """``lrdmd.generate(name, seed)``, made once per session, for tests that only read the dataset.
 
-    Tests whose subject is generation itself call ``lrdmd.generate`` or the CLI directly.
+    Tests whose subject is generation itself call ``lrdmd.generate`` or the CLI directly.  The
+    seconds each dataset took to generate are kept in ``get.seconds``, whichever test asked first.
     """
     made = {}
 
     def get(name: str, seed: int):
         if (name, seed) not in made:
+            t0 = time.perf_counter()
             made[name, seed] = lrdmd.generate(name, seed)
+            get.seconds[name, seed] = time.perf_counter() - t0
         return made[name, seed]
 
+    get.seconds = {}
     return get
 
 
@@ -130,11 +136,8 @@ def toy_datasets(generated):
 
 @pytest.fixture(scope="session")
 def rb_datasets(generated):
-    import time
-
-    t0 = time.perf_counter()
     data = {s: generated(f"rb-{s}", 5)[0] for s in ("iv", "v", "vi")}
-    data["gen_seconds"] = time.perf_counter() - t0
+    data["gen_seconds"] = sum(generated.seconds[f"rb-{s}", 5] for s in ("iv", "v", "vi"))
     return data
 
 
