@@ -110,7 +110,7 @@ def _scaled(t: _Tables, M: np.ndarray, e2: np.ndarray, E: np.ndarray):
     s = np.minimum(-(e2 + t.pow2[i]), 64).astype(np.uint64)
     M = M.astype(np.uint64)
     m_hi = M >> _U32
-    m_lo = M - (m_hi << _U32)
+    m_lo = M - (m_hi << _U32)  # low words by shifts, not by bitwise and (see _negative)
     p_hi, p_lo = t.p_hi[i], t.p_lo[i]
     mid, mid2, low = m_lo * p_hi, m_hi * p_lo, m_lo * p_lo
     high = m_hi * p_hi

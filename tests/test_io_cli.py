@@ -73,6 +73,12 @@ class TestMatrixCsv:
         assert back.shape == M.shape and back.dtype == np.float64
         assert back.tobytes() == M.tobytes() == _oracle_matrix(text).tobytes()
 
+    def test_strided_matrix_written_like_oracle(self):
+        # Blocks are cut from views that are not C-contiguous, each one raveled into a copy.
+        M = np.random.default_rng(5).standard_normal((300, 9)).T
+        for view in (M, M[::2, ::3], M[:, ::-1]):
+            assert lio.matrix_to_block(view) == _oracle_block(view)
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
     def test_any_bit_pattern_written_like_oracle(self, bits):
