@@ -8,6 +8,7 @@ verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -172,8 +173,17 @@ def _load_theta(args) -> np.ndarray:
     return theta
 
 
+def _load_model(path):
+    """``io.load_model`` of a file whose every array is finite: a nan or inf in a model is bad input, not a blowup."""
+    obj, kind, _prov = lio.load_model(path)
+    arrays = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    if not all(np.all(np.isfinite(M)) for M in arrays if isinstance(M, np.ndarray)):
+        raise InvalidInput(f"{path}: model contains non-finite entries")
+    return obj, kind
+
+
 def cmd_simulate(args) -> int:
-    obj, kind, _prov = lio.load_model(args.model)
+    obj, kind = _load_model(args.model)
     theta = _load_theta(args)
     simulate = {"factored": simulate_operator, "reduced": simulate_reduced, "spectral": simulate_spectral}[kind]
     traj = simulate(obj, theta, args.steps)
@@ -209,7 +219,7 @@ def cmd_verify(args) -> int:
     a_norm = op.fro_norm()
     try:
         if args.spectral_model:
-            spectral, kind, _ = lio.load_model(args.spectral_model)
+            spectral, kind = _load_model(args.spectral_model)
             if kind != "spectral":
                 raise InvalidInput(f"--spectral-model file has kind {kind!r}")
             if spectral.n != data.n:

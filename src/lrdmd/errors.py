@@ -24,9 +24,9 @@ class PairingFailure(LrdmdError):
 class SimulationBlowup(LrdmdError):
     """Time integration produced NaN/Inf; carries the failing step index."""
 
-    def __init__(self, step: int, message: str = ""):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(message or f"non-finite state at step {step}")
+        super().__init__(f"non-finite state at step {step}")
 
 
 class DiagonalisabilityWarning(UserWarning):

@@ -223,9 +223,9 @@ def build_spectral_model(op: FactoredOperator) -> SpectralModel:
     # eigenvector y_i; a pair with |y_i^T w_i| < 1e-12 makes W numerically singular.
     try:
         W_inv = _kept_left_rows(K, lam, W_kept)
+        worst = float(np.max(np.linalg.norm(W_inv, axis=1)))
     except np.linalg.LinAlgError:
-        W_inv = np.full_like(W_kept.T, np.inf)
-    worst = float(np.max(np.linalg.norm(W_inv, axis=1)))
+        worst = np.inf
     if not worst <= 1e12:
         raise PairingFailure(f"eigenvector basis numerically singular: max 1/|y^T w| = {worst:.3e}")
 
@@ -238,60 +238,43 @@ def build_spectral_model(op: FactoredOperator) -> SpectralModel:
     return SpectralModel(lam, audit.mm(op.P, W_real), audit.mm(op.Q, Y_real.T), flags)
 
 
-def _checked(theta: np.ndarray, n: int, T: int) -> tuple[np.ndarray, np.ndarray]:
-    """The initial condition as floats, and the uninitialised (T, n) output of a simulation from it."""
-    theta = _require_real(theta, "initial condition")
-    if T < 1:
-        raise InvalidInput(f"T must be >= 1, got {T}")
-    if theta.shape != (n,):
-        raise InvalidInput(f"initial condition of length {n} expected, got shape {theta.shape}")
-    try:
-        return theta, np.empty((T, n))
-    except (ValueError, MemoryError) as exc:
-        raise InvalidInput(f"a {T} x {n} trajectory cannot be allocated: {exc}") from exc
-
-
-def _latent_path(z: np.ndarray, step, count: int) -> np.ndarray:
-    """Rows ``z, step(z), step(step(z)), ...``: the first ``count`` latent states."""
-    path = np.empty((count, z.size))
-    path[:1] = z
-    for t in range(1, count):
-        path[t] = step(path[t - 1])
-    # A decaying path passes through the subnormal range, where the few rows holding subnormal
-    # entries made a whole lift up to 1.7x slower; zeroing them changes no entry by 2.3e-308 or more.
-    path[np.abs(path) < np.finfo(float).tiny] = 0.0
-    return path
-
-
 def _raise_first_nonfinite(out: np.ndarray, rows) -> None:
     for t in rows:
         if not np.all(np.isfinite(out[t])):
             raise SimulationBlowup(int(t))
 
 
-def _lift(basis: np.ndarray, path: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out[s + t] = basis @ path[t]`` for ``s = len(out) - len(path)``, by one GEMM into ``out``.
-
-    Every row of ``out`` is then finite, or ``SimulationBlowup`` names the
-    first that is not.  The first s rows are the caller's and are checked
-    before the lift.  A lifted row whose r-space bound is at most
-    ``CERTIFIED_BOUND`` is finite by construction; only the other rows (a
-    nan or inf bound among them) are read back.
-    """
-    s = out.shape[0] - path.shape[0]
-    _raise_first_nonfinite(out, range(s))
-    audit.mm(path, basis.T, out=out[s:])
-    bound = audit.mm(np.abs(path), np.max(np.abs(basis), axis=0, initial=0.0))
-    _raise_first_nonfinite(out, s + np.flatnonzero(~(bound <= CERTIFIED_BOUND)))
-    return out
-
-
 def _simulate_factors(encoder: np.ndarray, S: np.ndarray, decoder: np.ndarray, theta, T: int, lead: int = 0):
-    """``x_1 = theta`` and ``x_t = decoder S^{t-2+lead} encoder^T theta`` for t >= 2, as a ``Trajectory``."""
-    theta, out = _checked(theta, decoder.shape[0], T)
+    """``x_1 = theta`` and ``x_t = decoder S^{t-2+lead} encoder^T theta`` for t >= 2, as a ``Trajectory``.
+
+    The latent path is formed in r-space and lifted into the (T, n) output by one GEMM.  A lifted
+    row whose r-space bound is at most ``CERTIFIED_BOUND`` is finite by construction, so only theta
+    and the other rows are read back; ``SimulationBlowup`` names the first non-finite one.
+    """
+    theta = _require_real(theta, "initial condition")
+    n = decoder.shape[0]
+    if T < 1:
+        raise InvalidInput(f"T must be >= 1, got {T}")
+    if theta.shape != (n,):
+        raise InvalidInput(f"initial condition of length {n} expected, got shape {theta.shape}")
+    try:
+        out = np.empty((T, n))
+    except (ValueError, MemoryError) as exc:
+        raise InvalidInput(f"a {T} x {n} trajectory cannot be allocated: {exc}") from exc
     out[0] = theta
-    path = _latent_path(audit.mm(encoder.T, theta), lambda z: audit.mm(S, z), T - 1 + lead)
-    return Trajectory(states=_lift(decoder, path[lead:], out))
+    _raise_first_nonfinite(out, [0])
+    path = np.empty((T - 1 + lead, S.shape[0]))
+    path[:1] = audit.mm(encoder.T, theta)
+    for t in range(1, len(path)):
+        path[t] = audit.mm(S, path[t - 1])
+    # A decaying path passes through the subnormal range, where the few rows holding subnormal
+    # entries made a whole lift up to 1.7x slower; zeroing them changes no entry by 2.3e-308 or more.
+    path[np.abs(path) < np.finfo(float).tiny] = 0.0
+    path = path[lead:]
+    audit.mm(path, decoder.T, out=out[1:])
+    bound = audit.mm(np.abs(path), np.max(np.abs(decoder), axis=0, initial=0.0))
+    _raise_first_nonfinite(out, 1 + np.flatnonzero(~(bound <= CERTIFIED_BOUND)))
+    return Trajectory(states=out)
 
 
 def simulate_reduced(model: ReducedModel, theta: np.ndarray, T: int) -> Trajectory:

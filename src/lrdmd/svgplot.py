@@ -27,9 +27,10 @@ def _escape(text: str) -> str:  # as xml.sax.saxutils.escape, which imports urll
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _ticks_int(lo: int, hi: int, target: int = 8) -> list[int]:
+def _ticks_int(lo: int, hi: int) -> list[int]:
+    """About eight integer ticks from lo to hi, hi always among them."""
     span = max(hi - lo, 1)
-    step = max(1, int(round(span / target)))
+    step = max(1, int(round(span / 8)))
     ticks = list(range(lo, hi + 1, step))
     if ticks[-1] != hi:
         ticks.append(hi)

@@ -1146,6 +1146,16 @@ class TestModelShapes:
         argv = ["verify", str(toy_fit[0]), "--k", "3", "--spectral-model", str(model), "--quiet"]
         TestModelFileTypes._assert_exit2(argv, capsys, model, f"{model}: eigvals must have length r and zeta, xi be")
 
+    def test_eigvals_not_r_by_2_exit2(self, toy_fit, tmp_path, capsys):
+        source = toy_fit[1] / "model-spectral.json"
+        model = tmp_path / source.name
+        doc = json.loads(source.read_text())
+        wide = lio.matrix_to_block(np.zeros((3, 3)))
+        model.write_text(json.dumps({**doc, "blocks": {**doc["blocks"], "eigvals": wide}}))
+        argv = ["simulate", str(model), "--dataset", str(toy_fit[0]), "--column", "0", "--steps", "3"]
+        message = "block 'eigvals' must be r-by-2 (real part, imaginary part), got 3 columns"
+        TestModelFileTypes._assert_exit2(argv + ["--out", str(tmp_path / "traj.csv"), "--quiet"], capsys, model, message)
+
 
 class TestRealFactors:
     """A factored or reduced model whose real factor is stored as a ``_re``/``_im`` pair exits 2 naming the file."""
@@ -1164,6 +1174,35 @@ class TestRealFactors:
         argv = ["simulate", str(model), "--dataset", str(toy_fit[0]), "--column", "0", "--steps", "3"]
         TestModelFileTypes._assert_exit2(argv + ["--out", str(tmp_path / "traj.csv"), "--quiet"], capsys, model, message)
         assert not (tmp_path / "traj.csv").exists()
+
+
+class TestNonFiniteModel:
+    """A model file holding nan or inf exits 2 naming the file: bad input, not a simulation blowup (exit 3)."""
+
+    @staticmethod
+    def _model(toy_fit, tmp_path, kind, block, value):
+        source = toy_fit[1] / f"model-{kind}.json"
+        doc = json.loads(source.read_text())
+        M = lio.block_to_matrix(doc["blocks"][block])
+        M[-1, -1] = value
+        model = tmp_path / source.name
+        model.write_text(json.dumps({**doc, "blocks": {**doc["blocks"], block: lio.matrix_to_block(M)}}))
+        return model
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("kind", ["factored", "reduced", "spectral"])
+    def test_simulate_exit2(self, toy_fit, tmp_path, capsys, kind, value):
+        model = self._model(toy_fit, tmp_path, kind, _REPLACED_BLOCK[kind], value)
+        argv = ["simulate", str(model), "--dataset", str(toy_fit[0]), "--column", "0", "--steps", "3"]
+        TestModelFileTypes._assert_exit2(
+            argv + ["--out", str(tmp_path / "traj.csv"), "--quiet"], capsys, model, "model contains non-finite entries"
+        )
+        assert not (tmp_path / "traj.csv").exists()
+
+    def test_verify_spectral_model_exit2(self, toy_fit, tmp_path, capsys):
+        model = self._model(toy_fit, tmp_path, "spectral", "xi", np.nan)
+        argv = ["verify", str(toy_fit[0]), "--k", "3", "--spectral-model", str(model), "--quiet"]
+        TestModelFileTypes._assert_exit2(argv, capsys, model, "model contains non-finite entries")
 
 
 class TestMalformedBlockText:
@@ -1269,6 +1308,14 @@ class TestCliPaths:
         model = toy_fit[1] / "model-factored.json"
         assert main(["verify", str(toy_fit[0]), "--k", "3", "--spectral-model", str(model), "--quiet"]) == 2
         assert "--spectral-model file has kind 'factored'" in capsys.readouterr().err
+
+    def test_verify_spectral_model_of_another_n_exit2(self, toy_fit, tmp_path, capsys):
+        spectral, _, _ = lio.load_model(toy_fit[1] / "model-spectral.json")
+        model = tmp_path / "model-spectral.json"
+        shorter = lrdmd.SpectralModel(spectral.eigvals, spectral.right_vecs[1:], spectral.left_vecs[1:])
+        lio.save_spectral(model, shorter, {})
+        assert main(["verify", str(toy_fit[0]), "--k", "3", "--spectral-model", str(model), "--quiet"]) == 2
+        assert f"{model} has n=49 but the dataset has n=50" in capsys.readouterr().err
 
     def test_simulate_without_initial_condition_exit2(self, toy_fit, tmp_path, capsys):
         argv = ["simulate", str(toy_fit[1] / "model-reduced.json"), "--steps", "3", "--out", str(tmp_path / "t.csv")]

@@ -372,6 +372,14 @@ class TestSpectralModel:
             with pytest.raises(lrdmd.PairingFailure):
                 build_spectral_model(FactoredOperator(P=P, Q=Q))
 
+    def test_failed_left_row_solve_is_a_pairing_failure(self, monkeypatch):
+        def singular(K, lam, W):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(reduced, "_kept_left_rows", singular)
+        with pytest.raises(lrdmd.PairingFailure, match=re.escape("numerically singular: max 1/|y^T w| = inf")):
+            build_spectral_model(_random_optimal(3)[0])
+
     def test_defective_zero_block_is_dropped(self):
         # Q^T P = M has a 2x2 Jordan block at 0 and the eigenvalue 0.5: only the kept pair is inverted
         P = np.eye(6)[:, :3]
