@@ -37,6 +37,12 @@ EXIT_SIMULATION = 3
 EXIT_PAIRING = 4
 EXIT_VERIFY = 5
 
+# verify's tolerances, each used by its comparison and its printed message
+_GAP_TOL = 1e-7
+_RESIDUAL_TOL = 1e-8
+_EIGEN_RESIDUAL_TOL = 1e-8
+_RAYLEIGH_TOL = 1e-8
+
 
 def _say(args, *parts) -> None:
     if not args.quiet:
@@ -205,10 +211,10 @@ def cmd_verify(args) -> int:
     fit = fit_optimal(data)
     op = fit.operator(k)
     gap = error_report(op, data, closed_form_sq=fit.error_sq(k)).closed_form_gap
-    checks.append(("theorem-error-consistency", gap <= 1e-7, f"relative gap={gap:.3e} tol=1e-07"))
+    checks.append(("theorem-error-consistency", gap <= _GAP_TOL, f"relative gap={gap:.3e} tol={_GAP_TOL:.0e}"))
 
     res1 = first_order_residual(op, data)
-    checks.append(("first-order-residual", res1 <= 1e-8, f"residual={res1:.3e} tol=1e-08"))
+    checks.append(("first-order-residual", res1 <= _RESIDUAL_TOL, f"residual={res1:.3e} tol={_RESIDUAL_TOL:.0e}"))
 
     rank_y = int(np.linalg.matrix_rank(data.Y, rtol=DEFAULT_RANK_TOL))  # singular values only; 0 for Y = 0
     bound = min(k, data.rank_x, rank_y)
@@ -230,15 +236,15 @@ def cmd_verify(args) -> int:
         checks.append(
             (
                 "eigen-residual",
-                worst_res <= 1e-8 * max(a_norm, 1e-300),
-                f"max ||A z - lam z|| / ||A||_F = {worst_res / max(a_norm, 1e-300):.3e} tol=1e-08",
+                worst_res <= _EIGEN_RESIDUAL_TOL * max(a_norm, 1e-300),
+                f"max ||A z - lam z|| / ||A||_F = {worst_res / max(a_norm, 1e-300):.3e} tol={_EIGEN_RESIDUAL_TOL:.0e}",
             )
         )
         checks.append(
             (
                 "eigen-rayleigh",
-                worst_rayleigh <= 1e-8,
-                f"max |xi^T A zeta - lam| / max(1,|lam|) = {worst_rayleigh:.3e} tol=1e-08",
+                worst_rayleigh <= _RAYLEIGH_TOL,
+                f"max |xi^T A zeta - lam| / max(1,|lam|) = {worst_rayleigh:.3e} tol={_RAYLEIGH_TOL:.0e}",
             )
         )
     except PairingFailure as exc:

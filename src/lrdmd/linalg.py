@@ -129,7 +129,7 @@ def eig_nonsymmetric(M: np.ndarray) -> ComplexEigenSet:
         raise InvalidInput(f"matrix must be square, got shape {M.shape}")
     try:
         values, vectors = np.linalg.eig(M)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+    except np.linalg.LinAlgError as exc:
         raise EigFailure(f"eigendecomposition failed: {exc}") from exc
     values = values.astype(np.complex128, copy=False)
     vectors = vectors.astype(np.complex128, copy=False)

@@ -410,9 +410,8 @@ def analytic_buoyancy(cfg: RBConfig, ic: InitCondition, t_phys: float) -> np.nda
     decays at ``taylor_decay_rate`` (its nonlinear self-advection vanishes
     identically), so b(s, t) = kappa_b exp(-rate t) sin(a_b s1) sin(pi s2).
     """
-    S1, S2 = cell_mesh(cfg.grid)
-    rate = taylor_decay_rate(cfg.sigma, ic.a_b)
-    return ic.kappa_b * np.exp(-rate * t_phys) * np.sin(ic.a_b * S1) * np.sin(np.pi * S2)
+    b, _ = _lorenz_fields(ic, *cell_mesh(cfg.grid))
+    return np.exp(-taylor_decay_rate(cfg.sigma, ic.a_b) * t_phys) * b
 
 
 def simulate_linear_fields(

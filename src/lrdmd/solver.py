@@ -371,7 +371,7 @@ def fit_truncated(data: SnapshotPair) -> LowRankFit:
     if r == 0:
         return _degenerate_fit(data)
     svd_c, _ = data.svd_c
-    svd_m = thin_svd(audit.scale(svd_c.S[:, None] * svd_c.V.T, 1.0 / svd_x.S[:r]))
+    svd_m = thin_svd(svd_c.S[:, None] * svd_c.V.T * (1.0 / svd_x.S[:r]))
     return LowRankFit(
         data.m, numerical_rank(svd_m), svd_c.U, svd_x.U[:, :r], svd_m.V * svd_m.S, svd_m.S, p_mix=svd_m.U
     )

@@ -1205,6 +1205,23 @@ class TestNonFiniteModel:
         TestModelFileTypes._assert_exit2(argv, capsys, model, "model contains non-finite entries")
 
 
+def test_failed_eigendecomposition_exits_2(tmp_path, capsys, monkeypatch):
+    """A LAPACK eig failure is an ``EigFailure``: ``fit`` and ``verify`` exit 2, ``fit`` keeping its first two models."""
+
+    def fail(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    ds, fit = tmp_path / "ds", tmp_path / "fit"
+    assert main(["generate", "toy-ii", "--seed", "1", "--out", str(ds), "--quiet"]) == 0
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    with pytest.raises(lrdmd.EigFailure, match="^eigendecomposition failed: Eigenvalues did not converge$"):
+        lrdmd.eig_nonsymmetric(np.eye(2))
+    for argv in (["fit", str(ds), "--k", "5", "--out", str(fit)], ["verify", str(ds), "--k", "5"]):
+        assert main(argv + ["--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("error: eigendecomposition failed")
+    assert sorted(p.name for p in fit.iterdir()) == ["model-factored.json", "model-reduced.json"]
+
+
 class TestMalformedBlockText:
     """A model block whose CSV text is malformed exits 2, naming the file and the block."""
 
